@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -145,9 +146,11 @@ class HPoint:
     @property
     def mnorm2(self) -> float:
         """Measured Minkowski square of the stored coordinates (cached)."""
-        if self._q is None:
-            object.__setattr__(self, "_q", _mink_x(self.coords, self.coords))
-        return self._q
+        q = getattr(self, "_q", None)
+        if q is None:
+            q = _mink_x(self.coords, self.coords)
+            object.__setattr__(self, "_q", q)
+        return q
 
     @property
     def d(self) -> int:
@@ -246,20 +249,25 @@ def _stable_acosh(u: float) -> float:
     return float(np.log(u + np.sqrt(t * (u + 1.0))))
 
 
-def _dist_coords(x: np.ndarray, y: np.ndarray) -> float:
+def _dist_coords(x: np.ndarray, y: np.ndarray,
+                 qx: float | None = None, qy: float | None = None) -> float:
+    """Distance of two hyperboloid coordinate vectors; ``qx``/``qy`` are their
+    measured Minkowski squares when the caller already has them."""
     # nearby points: the chord 4 sinh^2(d/2) = <x-y, x-y> subtracts the large
     # coordinates before any product forms, which keeps full precision at any
     # radius from the chart center (negative values are coincidence noise)
     delta = x - y
     c2 = _mink_x(delta, delta)
+    if qx is None:
+        qx = _mink_x(x, x)
+    if qy is None:
+        qy = _mink_x(y, y)
     if c2 <= 0.25:
-        qx, qy = _mink_x(x, x), _mink_x(y, y)
         if qx > -0.5 or qy > -0.5:
             raise GeometryViolation("operands are not hyperboloid points")
         return 2.0 * float(np.arcsinh(0.5 * np.sqrt(max(c2, 0.0))))
     # far points: normalize by the measured Minkowski norms, which cancels the
     # radial storage defect of far points (the dominant float64 error)
-    qx, qy = _mink_x(x, x), _mink_x(y, y)
     if qx >= 0.0 or qy >= 0.0:
         raise GeometryViolation("operands are not hyperboloid points")
     u = -_mink_x(x, y) / np.sqrt(qx * qy)
@@ -272,20 +280,7 @@ def dist(x: HPoint, y: HPoint) -> float:
     """Geodesic distance arccosh(-<x,y>), stabilized near coincident points."""
     if x.d != y.d:
         raise DimensionMismatch("points live in different dimensions")
-    delta = x.coords - y.coords
-    c2 = _mink_x(delta, delta)
-    qx = x.mnorm2 if hasattr(x, "_q") else _mink_x(x.coords, x.coords)
-    qy = y.mnorm2 if hasattr(y, "_q") else _mink_x(y.coords, y.coords)
-    if c2 <= 0.25:
-        if qx > -0.5 or qy > -0.5:
-            raise GeometryViolation("operands are not hyperboloid points")
-        return 2.0 * float(np.arcsinh(0.5 * np.sqrt(max(c2, 0.0))))
-    if qx >= 0.0 or qy >= 0.0:
-        raise GeometryViolation("operands are not hyperboloid points")
-    u = -_mink_x(x.coords, y.coords) / np.sqrt(qx * qy)
-    if u < 1.0 - 1e-8:
-        raise GeometryViolation(f"-<x,y> = {u} < 1: operands are not hyperboloid points")
-    return _stable_acosh(max(u, 1.0))
+    return _dist_coords(x.coords, y.coords, x.mnorm2, y.mnorm2)
 
 
 def exp(x: HPoint, v: HTangent) -> HPoint:
@@ -400,34 +395,44 @@ def right_triangle(r0: float, theta: float) -> tuple[float, float]:
 
 @dataclass(frozen=True, eq=False)
 class TotallyGeodesicSub:
-    """Totally geodesic submanifold S = M ∩ P, stored by an orthonormal frame.
+    """Totally geodesic submanifold S = M ∩ P, stored by a point and unit normals.
 
-    ``basis`` holds k+1 Minkowski-orthonormalized rows spanning P (first row
-    timelike with <b,b> = -1, the rest spacelike), ``normals`` holds d-k
-    spacelike unit rows spanning the Minkowski complement of P.
+    ``point`` holds the coordinates of a point of S (the base of intrinsic
+    coordinates), ``normals`` holds d-k spacelike unit rows spanning the
+    Minkowski complement of P.  Distances read only the normals; the
+    orthonormal frame of P is derived on first use (see ``basis``).
     """
 
-    basis: np.ndarray
+    point: np.ndarray
     normals: np.ndarray
 
     def __post_init__(self):
-        b = np.atleast_2d(np.asarray(self.basis, dtype=float)).copy()
-        n = np.asarray(self.normals, dtype=float).reshape(-1, b.shape[1]).copy()
-        b.flags.writeable = False
+        p = np.asarray(self.point, dtype=float).copy()
+        n = np.asarray(self.normals, dtype=float).reshape(-1, p.size).copy()
+        p.flags.writeable = False
         n.flags.writeable = False
-        object.__setattr__(self, "basis", b)
+        object.__setattr__(self, "point", p)
         object.__setattr__(self, "normals", n)
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """k+1 Minkowski-orthonormal rows spanning P: ``point`` (timelike,
+        <b,b> = -1) followed by k spacelike rows orthogonal to the normals."""
+        b = np.vstack([self.point,
+                       _mink_complement(np.vstack([self.point, self.normals]))])
+        b.flags.writeable = False
+        return b
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0] - 1
+        return self.ambient_dim - 1 - self.normals.shape[0]
 
     @property
     def ambient_dim(self) -> int:
-        return self.basis.shape[1]
+        return self.point.size
 
     def base(self) -> HPoint:
-        return HPoint(self.basis[0])
+        return HPoint(self.point)
 
     def normal_components(self, x: HPoint) -> np.ndarray:
         """Vector of Minkowski products <x, n_j> against the unit normals."""
@@ -458,15 +463,16 @@ def _mgs_minkowski(rows: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     return np.array(basis)
 
 
-def _mink_complement(basis: np.ndarray) -> np.ndarray:
-    """Spacelike orthonormal rows spanning the Minkowski complement of P."""
-    D = basis.shape[1]
+def _mink_complement(rows: np.ndarray) -> np.ndarray:
+    """Spacelike orthonormal rows spanning the Minkowski complement of
+    ``rows`` (which must include a timelike row)."""
+    D = rows.shape[1]
     J = np.ones(D)
     J[0] = -1.0
-    # <n, b> = 0 for all rows b  <=>  (basis * J) n = 0 in the Euclidean sense
-    A = basis * J[None, :]
+    # <n, b> = 0 for all rows b  <=>  (rows * J) n = 0 in the Euclidean sense
+    A = rows * J[None, :]
     _, s, vt = np.linalg.svd(A, full_matrices=True)
-    null = vt[basis.shape[0]:]
+    null = vt[rows.shape[0]:]
     out = []
     for r in null:
         v = r.copy()
@@ -498,8 +504,7 @@ def gspan(points: list[HPoint], vectors: list[HTangent]) -> TotallyGeodesicSub:
                      + [v.vec for v in vectors if v.norm > 0.0]
                      ) if vectors else np.vstack([p.coords for p in points])
     basis = _mgs_minkowski(rows)
-    normals = _mink_complement(basis)
-    return TotallyGeodesicSub(basis, normals)
+    return TotallyGeodesicSub(basis[0], _mink_complement(basis))
 
 
 def sub_exp(S: TotallyGeodesicSub, c) -> HPoint:
@@ -512,7 +517,7 @@ def sub_exp(S: TotallyGeodesicSub, c) -> HPoint:
         return S.base()
     if rho > R_MAX:
         raise RangeLimitError(f"intrinsic radius {rho} exceeds R_MAX={R_MAX}")
-    p = np.cosh(rho) * S.basis[0] + (np.sinh(rho) / rho) * (c @ S.basis[1:])
+    p = np.cosh(rho) * S.point + (np.sinh(rho) / rho) * (c @ S.basis[1:])
     return HPoint(p / np.sqrt(-_mink(p, p)))
 
 
@@ -553,12 +558,8 @@ class HalfSpace:
             raise GeometryViolation("half-space normal must have unit norm")
         object.__setattr__(self, "normal", self.normal.scaled(1.0 / n))
         # ambient normal of the boundary hyperplane is the tangent normal itself
-        basis = _mgs_minkowski(np.vstack([
-            self.anchor.coords,
-            _tangent_complement(self.anchor, self.normal),
-        ]))
-        object.__setattr__(self, "_boundary",
-                           TotallyGeodesicSub(basis, self.normal.vec[None, :]))
+        object.__setattr__(self, "_boundary", TotallyGeodesicSub(
+            self.anchor.coords, self.normal.vec[None, :]))
 
     @property
     def boundary(self) -> TotallyGeodesicSub:
@@ -570,24 +571,6 @@ class HalfSpace:
 
     def membership(self, x: HPoint, tol: float = 1e-12) -> bool:
         return self.margin(x) >= -tol
-
-
-def _tangent_complement(x: HPoint, n: HTangent) -> np.ndarray:
-    """Orthonormal tangent rows at x orthogonal to the unit tangent n."""
-    D = x.coords.size
-    rows = [x.coords, n.vec]
-    basis = list(_mgs_minkowski(np.array(rows)))
-    out = []
-    for i in range(D):
-        v = np.zeros(D)
-        v[i] = 1.0
-        for b in basis + out:
-            s = _mink_x(b, b)
-            v -= (_mink_x(v, b) / s) * b
-        q = _mink_x(v, v)
-        if q > RANK_TOL * RANK_TOL:
-            out.append(v / np.sqrt(q))
-    return np.array(out)
 
 
 def halfspace_dist(x: HPoint, L: HalfSpace) -> float:

@@ -201,6 +201,10 @@ class _GameBase:
             "min_recorded_gap": min((s.F - fstar for s in self.history), default=np.inf),
         }
 
+    def _final_oracle(self) -> ShiftedMax:
+        """The committed function with all T pieces (the nonsmooth final f)."""
+        return self.running_max(self.T - 1)
+
     def gap_bound(self) -> float:
         raise NotImplementedError
 
@@ -214,11 +218,6 @@ class NonsmoothGame(_GameBase):
         sample = OracleSample(F, x, g)
         self.history.append(sample)
         return sample
-
-    def _final_oracle(self) -> ShiftedMax:
-        f = self.running_max(self.T - 1)
-        f.lipschitz = 1.0
-        return f
 
     def gap_bound(self) -> float:
         """Certified floor on every recorded gap: r / (2 zeta(r) sqrt(T))."""
@@ -247,13 +246,7 @@ class SmoothGame(_GameBase):
         return sample
 
     def _final_oracle(self):
-        f = fn_moreau(self._final_nonsmooth(), self._params)
-        return f
-
-    def _final_nonsmooth(self) -> ShiftedMax:
-        f = self.running_max(self.T - 1)
-        f.lipschitz = 1.0
-        return f
+        return fn_moreau(super()._final_oracle(), self._params)
 
     def gap_bound(self) -> float:
         """Certified floor on every recorded gap: (L r^2 / T^2) / (16 zeta(r)^2)."""

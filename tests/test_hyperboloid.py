@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
 import hypergconv as hg
@@ -257,6 +258,44 @@ class TestGspan:
         S = gspan([x], [rand_unit(rng, x), rand_unit(rng, x)])
         p = sub_exp(S, [0.3, -1.2][:S.dim])
         assert abs(mink_inner(p.coords, p.coords) + 1.0) < 1e-9
+
+
+@st.composite
+def subs_with_coords(draw):
+    """A HalfSpace boundary or a gspan sub through points within radius 2 of
+    the chart center, plus intrinsic coordinates of length at most 7.5, so
+    sub_exp targets stay inside the radius-9.5 range the roundtrips certify."""
+    d = draw(st.integers(2, 32))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rand_point(rng, d, 2.0)
+    if draw(st.booleans()):
+        S = HalfSpace(x, rand_unit(rng, x)).boundary
+    else:
+        pts = [x] + [rand_point(rng, d, 2.0) for _ in range(draw(st.integers(0, 1)))]
+        S = gspan(pts, [rand_unit(rng, x) for _ in range(draw(st.integers(0, d)))])
+    c = rng.standard_normal(S.dim)
+    if S.dim:
+        c *= draw(st.floats(0.0, 7.5)) / np.linalg.norm(c)
+    return S, c
+
+
+class TestSubBasis:
+    # the frame of P is derived from (point, normals) on first use; check it
+    # against its defining properties for hyperplanes and general spans
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(subs_with_coords())
+    def test_derived_basis(self, sub_and_coords):
+        S, c = sub_and_coords
+        B = S.basis
+        J = np.ones(S.ambient_dim)
+        J[0] = -1.0
+        gram = (B * J) @ B.T
+        assert np.max(np.abs(gram - np.diag([-1.0] + [1.0] * S.dim))) < 1e-12
+        if S.normals.shape[0]:
+            assert np.max(np.abs((B * J) @ S.normals.T)) < 1e-12
+        assert np.array_equal(B[0], S.point)
+        assert S.dim == B.shape[0] - 1
+        assert sub_dist(sub_exp(S, c), S)[0] <= 1e-9
 
 
 class TestSubDist:
