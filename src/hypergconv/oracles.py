@@ -15,7 +15,6 @@ from scipy import optimize
 
 from .hyperboloid import (
     R_MAX,
-    RANK_TOL,
     DomainError,
     HPoint,
     HTangent,
@@ -35,7 +34,6 @@ __all__ = [
     "FnOracle",
     "OracleSample",
     "MoreauParams",
-    "ProxConvergenceError",
     "fn_constant",
     "fn_dist_point",
     "fn_sqdist_point",
@@ -54,16 +52,6 @@ logger = logging.getLogger(__name__)
 TIE_TOL = 1e-12
 
 
-class ProxConvergenceError(RuntimeError):
-    """Inner prox solve did not converge; carries the best iterate found."""
-
-    def __init__(self, msg, best: HPoint, value: float, residual: float):
-        super().__init__(msg)
-        self.best = best
-        self.value = value
-        self.residual = residual
-
-
 @dataclass(frozen=True, eq=False)
 class OracleSample:
     """One oracle answer: value F and subgradient g at the query point x."""
@@ -80,11 +68,9 @@ class OracleSample:
 
 @dataclass(frozen=True)
 class MoreauParams:
-    """Smoothing width and inner prox-solver controls."""
+    """Smoothing width lam of the Moreau envelope, in (0, R_MAX]."""
 
     lam: float
-    prox_tol: float = 1e-10
-    prox_max_iter: int = 10_000
 
     def __post_init__(self):
         if not (0.0 < self.lam <= R_MAX):
@@ -333,7 +319,8 @@ class MoreauEnvelope(FnOracle):
 
     Requires f g-convex and 1-Lipschitz; the envelope is then g-convex,
     1-Lipschitz and 1/tanh(lam)-smooth with gradient -(1/lam) log_x(y*).
-    Shares minimizer and minimum value with f.
+    Shares minimizer and minimum value with f.  f must be a max of shifted
+    distances (``max_sub_pieces``); see README, "The Moreau prox".
     """
 
     def __init__(self, f: FnOracle, params: MoreauParams):
@@ -341,15 +328,17 @@ class MoreauEnvelope(FnOracle):
             raise DomainError("Moreau envelope requires a g-convex oracle")
         if f.lipschitz is None or f.lipschitz > 1.0 + 1e-12:
             raise DomainError("Moreau envelope requires lipschitz <= 1 metadata")
+        pieces = f.max_sub_pieces()
+        if pieces is None:
+            raise DomainError("Moreau envelope requires a max of shifted distances")
         self.f = f
-        self.params = params
         self.lam = params.lam
         self.gconvex = True
         self.lipschitz = min(1.0, f.lipschitz)
         self.smoothness = 1.0 / np.tanh(params.lam)
         self.minimizer = f.minimizer
         self.fmin = f.fmin
-        self._pieces = f.max_sub_pieces()
+        self._pieces = _StackedPieces(pieces)
 
     def prox_point(self, x: HPoint) -> HPoint:
         return self._prox(x)[0]
@@ -366,15 +355,11 @@ class MoreauEnvelope(FnOracle):
         exact = self.f.prox_pair(x, self.lam)
         if exact is not None:
             return exact
-        if self._pieces is not None:
-            return _prox_max_pieces(self.f, x, self.lam, self._pieces,
-                                    polish=need_gradient)
-        return _prox_subgradient(self.f, x, self.lam,
-                                 self.params.prox_tol, self.params.prox_max_iter)
+        return _prox_max_pieces(x, self.lam, self._pieces, polish=need_gradient)
 
 
 def fn_moreau(f: FnOracle, p: MoreauParams) -> MoreauEnvelope:
-    """Moreau smoothing of a 1-Lipschitz g-convex oracle."""
+    """Moreau smoothing of a 1-Lipschitz g-convex max of shifted distances."""
     return MoreauEnvelope(f, p)
 
 
@@ -392,122 +377,98 @@ def _tangent_frame(x: HPoint) -> np.ndarray:
     return out
 
 
-def _prox_objective(f: FnOracle, x: HPoint, lam: float, y: HPoint) -> float:
-    return f.value(y) + dist(x, y) ** 2 / (2.0 * lam)
+class _StackedPieces:
+    """f = max_l { dist(., S_l) - c_l }, every normal row of every piece stacked.
 
-
-def _project_ball(x: HPoint, y: HPoint, radius: float) -> HPoint:
-    d = dist(x, y)
-    if d <= radius:
-        return y
-    return exp(x, log(x, y).scaled(radius / d))
-
-
-def _prox_subgradient(f: FnOracle, x: HPoint, lam: float,
-                      tol: float, max_iter: int) -> tuple[HPoint, float]:
-    """Projected subgradient descent with best-iterate tracking.
-
-    The prox objective is (1/lam)-strongly g-convex on B(x, lam); the classic
-    2/(mu (j+1)) schedule applies.  Returns once the step displacement falls
-    below tol or improvement stalls; raises if neither happens in max_iter.
+    ``N @ y`` gives the Minkowski products q of y with all normals (rows times
+    J = diag(-1, 1, ..., 1)); ``owner[j]`` is the piece of row j and P[l, j] = 1
+    when row j belongs to piece l, so dist(y, S_l) = arcsinh sqrt((P @ q**2)_l).
     """
-    y = x
-    best_y, best_val = x, _prox_objective(f, x, lam, x)
-    stall = 0
-    disp = np.inf
-    for j in range(1, max_iter + 1):
-        _, gf = f.eval(y)
-        gvec = gf.vec - log(y, x).vec / lam
-        gnorm = np.sqrt(max(_mink(gvec, gvec), 0.0))
-        if gnorm == 0.0:
-            return y, _prox_objective(f, x, lam, y)
-        eta = 2.0 * lam / (j + 1)
-        y = _project_ball(x, exp(y, HTangent(y, -eta * gvec)), lam)
-        disp = eta * gnorm
-        val = _prox_objective(f, x, lam, y)
-        if val < best_val - 1e-16 * max(1.0, abs(best_val)):
-            best_y, best_val = y, val
-            stall = 0
-        else:
-            stall += 1
-        if disp < tol or stall > 200:
-            return best_y, best_val
-    raise ProxConvergenceError(
-        f"prox did not converge in {max_iter} iterations", best_y, best_val, disp)
+
+    def __init__(self, pieces: list[tuple[TotallyGeodesicSub, float]]):
+        self.pieces = pieces
+        rows = [S.normals for S, _ in pieces]
+        self.J = np.where(np.arange(rows[0].shape[1]) == 0, -1.0, 1.0)
+        self.N = np.vstack(rows) * self.J
+        owner = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+        self.P = (owner == np.arange(len(rows))[:, None]).astype(float)
+        self.blocks = [self.N[owner == l] for l in range(len(rows))]
+        self.cs = np.array([c for _, c in pieces])
+
+    def values(self, y: np.ndarray) -> np.ndarray:
+        return np.arcsinh(np.sqrt(self.P @ (self.N @ y) ** 2)) - self.cs
 
 
-def _prox_max_pieces(f: FnOracle, x: HPoint, lam: float,
-                     pieces: list[tuple[TotallyGeodesicSub, float]],
+class _ProxProblem:
+    """The prox objective at x in the exp chart u -> exp_x(u @ U), U the frame at x."""
+
+    def __init__(self, x: HPoint, lam: float, pieces: _StackedPieces):
+        self.xc = x.coords
+        self.U = _tangent_frame(x)
+        self.lam = lam
+        self.pieces = pieces
+
+    def chart(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """y(u) = cosh|u| x + (sinh|u| / |u|) (u @ U), not renormalized, and dy/du."""
+        xc, U = self.xc, self.U
+        rho = np.linalg.norm(u)
+        if rho < 1e-18:
+            return xc, U.T
+        w = u @ U
+        s = np.sinh(rho) / rho
+        ds = (np.cosh(rho) * rho - np.sinh(rho)) / rho ** 2
+        y = np.cosh(rho) * xc + s * w
+        return y, np.outer(xc, u) * s + np.outer(w, u) * (ds / rho) + s * U.T
+
+    def point(self, u: np.ndarray) -> np.ndarray:
+        """y(u) renormalized onto the hyperboloid (x itself, unchanged, at u = 0)."""
+        p, _ = self.chart(u)
+        return p if p is self.xc else p / np.sqrt(-_mink(p, p))
+
+    def coords(self, y: np.ndarray) -> np.ndarray:
+        """Chart coordinates u of the point y."""
+        return self.U @ (self.pieces.J * _log_coords(self.xc, y))
+
+    def phi(self, y: np.ndarray) -> float:
+        dd = _dist_coords(self.xc, y)
+        return float(np.max(self.pieces.values(y))) + dd * dd / (2.0 * self.lam)
+
+
+def _prox_max_pieces(x: HPoint, lam: float, sp: _StackedPieces,
                      polish: bool = True) -> tuple[HPoint, float]:
     """High-accuracy prox for f = max_l { dist(., S_l) - c_l }.
 
     Three stages: closed-form single-piece candidates, an SLSQP solve of the
-    smooth epigraph reformulation in tangent coordinates (with analytic
+    smooth epigraph reformulation in chart coordinates (with analytic
     jacobians), then a Newton polish of the active-set stationarity system
     (skipped for value-only queries).  The returned value is the best
     candidate objective, so it upper-bounds the true envelope and never
     exceeds f(x).
     """
-    D = x.coords.size
-    J = np.ones(D)
-    J[0] = -1.0
-    mats = [S.normals * J[None, :] for S, _ in pieces]   # q_l(y) = mats[l] @ y
-    cs = np.array([c for _, c in pieces])
-    U = _tangent_frame(x)
-    xc = x.coords
-    # hyperplane pieces (one normal each) admit a fully stacked evaluation
-    stacked = np.vstack([m[0] for m in mats]) if all(
-        m.shape[0] == 1 for m in mats) else None
-
-    def y_of(u: np.ndarray) -> np.ndarray:
-        rho = np.linalg.norm(u)
-        if rho < 1e-18:
-            return xc
-        p = np.cosh(rho) * xc + (np.sinh(rho) / rho) * (u @ U)
-        return p / np.sqrt(-_mink(p, p))
-
-    def piece_vals(y: np.ndarray) -> np.ndarray:
-        if stacked is not None:
-            return np.arcsinh(np.abs(stacked @ y)) - cs
-        return np.array([np.arcsinh(np.linalg.norm(A @ y)) for A in mats]) - cs
-
-    def phi(y: np.ndarray) -> float:
-        dd = _dist_coords(xc, y)
-        return float(np.max(piece_vals(y))) + dd * dd / (2.0 * lam)
+    prob = _ProxProblem(x, lam, sp)
+    xc, N, P, cs = prob.xc, sp.N, sp.P, sp.cs
 
     # stage 0: candidates (the query point and the proxes of the pieces
     # nearest the max, which are the only ones the minimizer can activate)
     candidates = [xc]
-    base_vals = piece_vals(xc)
-    for idx in np.argsort(base_vals)[::-1][:3]:
-        yc, _ = DistToSub(*pieces[idx]).prox_pair(x, lam)
+    for idx in np.argsort(sp.values(xc))[::-1][:3]:
+        yc, _ = DistToSub(*sp.pieces[idx]).prox_pair(x, lam)
         candidates.append(yc.coords)
-    vals = [phi(y) for y in candidates]
+    vals = [prob.phi(y) for y in candidates]
     best = int(np.argmin(vals))
     y_best, v_best = candidates[best], vals[best]
 
     # stage 1: SLSQP on the epigraph form  min t + |u|^2/(2 lam)
-    u0 = U @ (J * _log_coords(xc, y_best))
+    u0 = prob.coords(y_best)
     t_lb = float(-np.min(cs))
-    t0 = max(float(np.max(piece_vals(y_best))), t_lb) + 1e-9
+    t0 = max(float(np.max(sp.values(y_best))), t_lb) + 1e-9
     cache: dict = {}
 
     def _prep(z):
         key = z.tobytes()
         if cache.get("key") != key:
-            u = z[:-1]
-            rho = np.linalg.norm(u)
-            if rho < 1e-18:
-                y, dy = xc, U.T
-            else:
-                w = u @ U
-                s = np.sinh(rho) / rho
-                ds = (np.cosh(rho) * rho - np.sinh(rho)) / rho ** 2
-                y = np.cosh(rho) * xc + s * w
-                dy = (np.outer(xc, u) * (np.sinh(rho) / rho)
-                      + np.outer(w, u) * (ds / rho) + s * U.T)
-            qs = (stacked @ y) if stacked is not None else [A @ y for A in mats]
-            cache.update(key=key, y=y, dy=dy, qs=qs)
+            y, dy = prob.chart(z[:-1])
+            cache.update(key=key, dy=dy, q=N @ y)
         return cache
 
     def objective(z):
@@ -517,26 +478,14 @@ def _prox_max_pieces(f: FnOracle, x: HPoint, lam: float,
         return np.concatenate([z[:-1] / lam, [1.0]])
 
     def constraints(z):
-        st = _prep(z)
-        t = z[-1]
-        if stacked is not None:
-            cons = np.sinh(t + cs) ** 2 - st["qs"] ** 2
-        else:
-            cons = np.array([np.sinh(t + c) ** 2 - float(q @ q)
-                             for q, c in zip(st["qs"], cs)])
+        cons = np.sinh(z[-1] + cs) ** 2 - P @ _prep(z)["q"] ** 2
         return np.concatenate([cons, [lam * lam - float(z[:-1] @ z[:-1])]])
 
     def constraints_jac(z):
         st = _prep(z)
-        t = z[-1]
         Jm = np.zeros((len(cs) + 1, z.size))
-        if stacked is not None:
-            Jm[:-1, :-1] = -2.0 * st["qs"][:, None] * (stacked @ st["dy"])
-            Jm[:-1, -1] = np.sinh(2.0 * (t + cs))
-        else:
-            for i, (A, q, c) in enumerate(zip(mats, st["qs"], cs)):
-                Jm[i, :-1] = -2.0 * (st["dy"].T @ (A.T @ q))
-                Jm[i, -1] = np.sinh(2.0 * (t + c))
+        Jm[:-1, :-1] = -2.0 * (P @ (st["q"][:, None] * (N @ st["dy"])))
+        Jm[:-1, -1] = np.sinh(2.0 * (z[-1] + cs))
         Jm[-1, :-1] = -2.0 * z[:-1]
         return Jm
 
@@ -546,21 +495,21 @@ def _prox_max_pieces(f: FnOracle, x: HPoint, lam: float,
         constraints=[{"type": "ineq", "fun": constraints, "jac": constraints_jac}],
         bounds=[(None, None)] * len(u0) + [(t_lb, None)],
         options={"ftol": 1e-14, "maxiter": 120})
-    y_s = y_of(res.x[:-1])
-    v_s = phi(y_s)
+    y_s = prob.point(res.x[:-1])
+    v_s = prob.phi(y_s)
     if v_s < v_best:
         y_best, v_best = y_s, v_s
 
     # stage 2: Newton polish of the active-set stationarity system
     if polish:
-        polished = _polish_active_set(y_best, xc, U, mats, cs, lam, phi, y_of)
+        polished = _polish_active_set(y_best, prob)
         if polished is not None:
             y_p, v_p = polished
             if v_p <= v_best + 1e-15:
                 y_best, v_best = y_p, v_p
 
     yb = HPoint(y_best / np.sqrt(-_mink_x(y_best, y_best)))
-    return yb, min(v_best, phi(yb.coords))
+    return yb, min(v_best, prob.phi(yb.coords))
 
 
 def _log_coords(xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
@@ -573,31 +522,25 @@ def _log_coords(xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
     return (Dd / nw) * w if nw > 0 else np.zeros_like(xc)
 
 
-def _polish_active_set(y_start, xc, U, mats, cs, lam, phi, y_of):
-    """Solve the KKT system of the prox on the detected active set."""
-    d = U.shape[0]
-    vals = np.array([np.arcsinh(np.linalg.norm(A @ y_start)) for A in mats]) - cs
+def _polish_active_set(y_start: np.ndarray, prob: _ProxProblem):
+    """Solve the KKT system of the prox on the detected active set.
+
+    The piece gradients take one mat-vec per piece: the stacked ``N @ y``
+    rounds differently and would move polished answers in the last bits.
+    """
+    sp, lam = prob.pieces, prob.lam
+    d = prob.U.shape[0]
+    vals = sp.values(y_start)
     t = float(np.max(vals))
     active = [i for i, v in enumerate(vals) if v >= t - 1e-6 * max(1.0, abs(t))]
     if not active:
         return None
     m = len(active)
-    J = np.ones(U.shape[1])
-    J[0] = -1.0
 
     def grads_and_vals(u):
-        rho = np.linalg.norm(u)
-        if rho < 1e-18:
-            y = xc
-            dy = U.T.copy()
-        else:
-            w = u @ U
-            s, ds = np.sinh(rho) / rho, (np.cosh(rho) * rho - np.sinh(rho)) / rho ** 2
-            y = np.cosh(rho) * xc + s * w
-            dy = (np.outer(xc, u) * (np.sinh(rho) / rho)
-                  + np.outer(w, u) * (ds / rho) + s * U.T)
+        y, dy = prob.chart(u)
         vlist, glist = [], []
-        for A, c in zip(mats, cs):
+        for A, c in zip(sp.blocks, sp.cs):
             q = A @ y
             nq = np.linalg.norm(q)
             vlist.append(np.arcsinh(nq) - c)
@@ -618,12 +561,8 @@ def _polish_active_set(y_start, xc, U, mats, cs, lam, phi, y_of):
         eq = vlist[active[:-1]] - vlist[active[-1]]
         return np.concatenate([stat, eq])
 
-    u0 = U @ (J * _log_coords(xc, y_start))
-    z0 = np.concatenate([u0, np.full(m - 1, 1.0 / m)])
-    try:
-        sol = optimize.root(residual, z0, method="hybr", tol=1e-13)
-    except Exception:
-        return None
+    z0 = np.concatenate([prob.coords(y_start), np.full(m - 1, 1.0 / m)])
+    sol = optimize.root(residual, z0, method="hybr", tol=1e-13)
     if not sol.success and np.linalg.norm(sol.fun) > 1e-9:
         return None
     u = sol.x[:d]
@@ -636,8 +575,8 @@ def _polish_active_set(y_start, xc, U, mats, cs, lam, phi, y_of):
     t_new = np.max(vlist[active])
     if np.max(vlist) > t_new + 1e-8:
         return None
-    y = y_of(u)
-    return y, phi(y)
+    y = prob.point(u)
+    return y, prob.phi(y)
 
 
 # ---------------------------------------------------------------------------

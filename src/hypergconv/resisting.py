@@ -89,19 +89,24 @@ def _rebase(x: HPoint, vec: np.ndarray) -> HTangent:
     return HTangent(x, v)
 
 
+def _game_scales(T: int, r: float) -> tuple[float, float]:
+    """Hyperplane offset a and shift step delta of a T-query game of radius r."""
+    if T < 2:
+        raise DomainError("the construction needs T = d >= 2")
+    if not (0.0 < r <= R_MAX):
+        raise RangeLimitError(f"radius must lie in (0, {R_MAX}]")
+    a = float(np.arctanh(np.tanh(r) / np.sqrt(T)))
+    return a, a / (2.0 * T)
+
+
 class _GameBase:
     """Shared state for the max-of-hyperplane-distance resisting games."""
 
     def __init__(self, T: int, r: float):
-        if T < 2:
-            raise DomainError("the construction needs T = d >= 2")
-        if not (0.0 < r <= R_MAX):
-            raise RangeLimitError(f"radius must lie in (0, {R_MAX}]")
+        self.a, self.delta = _game_scales(T, r)
         self.T = T
         self.d = T
         self.r = float(r)
-        self.a = float(np.arctanh(np.tanh(r) / np.sqrt(self.d)))
-        self.delta = self.a / (2.0 * T)
         self.xref = base_point(self.d)
         self.frame = frame_at_base(self.d)
         # hyperplane through z_i^s orthogonal to the geodesic back to x_ref
@@ -220,19 +225,17 @@ class NonsmoothGame(_GameBase):
         return sample
 
     def gap_bound(self) -> float:
-        """Certified floor on every recorded gap: r / (2 zeta(r) sqrt(T))."""
-        return self.r / (2.0 * float(zeta(self.r)) * np.sqrt(self.T))
+        return nonsmooth_gap_bound(self.T, self.r)
 
 
 class SmoothGame(_GameBase):
     """Moreau-smoothed resisting oracle; responses come from the running envelope."""
 
-    def __init__(self, T: int, r: float, prox_tol: float = 1e-10,
-                 prox_max_iter: int = 10_000):
+    def __init__(self, T: int, r: float):
         super().__init__(T, r)
         self.lam = self.delta / 4.0
         self.smoothness = 1.0 / np.tanh(self.lam)
-        self._params = MoreauParams(self.lam, prox_tol, prox_max_iter)
+        self._params = MoreauParams(self.lam)
 
     def running_envelope(self, k: int):
         return fn_moreau(self.running_max(k), self._params)
@@ -249,25 +252,30 @@ class SmoothGame(_GameBase):
         return fn_moreau(super()._final_oracle(), self._params)
 
     def gap_bound(self) -> float:
-        """Certified floor on every recorded gap: (L r^2 / T^2) / (16 zeta(r)^2)."""
-        L = self.smoothness
-        return 0.5 * (L * self.r ** 2 / self.T ** 2) / (8.0 * float(zeta(self.r)) ** 2)
+        return smooth_gap_bound(self.T, self.r)
 
 
 def nonsmooth_new(T: int, r: float) -> NonsmoothGame:
     return NonsmoothGame(T, r)
 
 
-def smooth_new(T: int, r: float, **kw) -> SmoothGame:
-    return SmoothGame(T, r, **kw)
+def smooth_new(T: int, r: float) -> SmoothGame:
+    return SmoothGame(T, r)
 
 
 def nonsmooth_gap_bound(T: int, r: float) -> float:
-    return NonsmoothGame(T, r).gap_bound()
+    """Certified floor on every recorded gap: r / (2 zeta(r) sqrt(T))."""
+    _game_scales(T, r)  # raises on the (T, r) that the games refuse
+    return r / (2.0 * float(zeta(r)) * np.sqrt(T))
 
 
 def smooth_gap_bound(T: int, r: float) -> float:
-    return SmoothGame(T, r).gap_bound()
+    """Certified floor on every recorded gap: (L r^2 / T^2) / (16 zeta(r)^2).
+
+    L = 1/tanh(delta/4) is the smoothness of the game's envelopes.
+    """
+    L = 1.0 / np.tanh(_game_scales(T, r)[1] / 4.0)
+    return 0.5 * (L * r ** 2 / T ** 2) / (8.0 * float(zeta(r)) ** 2)
 
 
 class GameOracle(FnOracle):
@@ -285,7 +293,7 @@ class GameOracle(FnOracle):
         self.smoothness = getattr(game, "smoothness", None)
 
     def eval(self, x):
-        if len(self.game.chosen) < self.game.T and self.game._final is None:
+        if len(self.game.chosen) < self.game.T:
             s = self.game.respond(x)
             return s.F, s.g
         f, _, _ = self.game.finalize()

@@ -20,8 +20,8 @@ from hypergconv import (
 )
 from hypergconv.oracles import (
     MoreauParams,
-    ProxConvergenceError,
     FnOracle,
+    _StackedPieces,
     fn_constant,
     fn_dist_point,
     fn_dist_sub,
@@ -265,17 +265,23 @@ class TestMoreau:
             _, g = env.eval(x)
             assert np.allclose(g.vec, log(x, y).scaled(-1.0 / lam).vec, atol=1e-9)
 
-    def _pieces_instance(self, rng, n=4, d=6):
+    def _pieces_instance(self, rng, kind, n=4, d=6):
+        # "hyperplanes": one normal per piece; "mixed": every other piece is
+        # the distance to a point, which has d normals
         x0 = base_point(d)
         parts = []
         for k in range(n):
             anchor = exp(x0, rand_unit(rng, x0).scaled(0.4 * rng.uniform()))
+            if kind == "mixed" and k % 2 == 0:
+                parts.append((fn_dist_point(anchor), 0.02 * k))
+                continue
             S = HalfSpace(anchor, rand_unit(rng, anchor)).boundary
             parts.append((fn_dist_sub(S, 0.1 * rng.uniform()), 0.02 * k))
         return x0, fn_shifted_max(parts)
 
-    def test_max_pieces_prox_beats_brute_force(self, rng):
-        x0, m = self._pieces_instance(rng)
+    @pytest.mark.parametrize("kind", ["hyperplanes", "mixed"])
+    def test_max_pieces_prox_beats_brute_force(self, rng, kind):
+        x0, m = self._pieces_instance(rng, kind)
         lam = 2e-3
         env = fn_moreau(m, MoreauParams(lam))
         for _ in range(5):
@@ -289,8 +295,27 @@ class TestMoreau:
             assert v <= best + 1e-12
             assert v >= m.value(x) - lam - 1e-12
 
-    def test_chord_gradient_lipschitz(self, rng):
-        x0, m = self._pieces_instance(rng)
+    @pytest.mark.parametrize("kind", ["hyperplanes", "mixed"])
+    def test_stacked_values_match_per_piece_loop(self, rng, kind):
+        # bit for bit with one normal per piece; with several, the per-piece
+        # sums of squares add in another order
+        x0, m = self._pieces_instance(rng, kind)
+        pieces = m.max_sub_pieces()
+        stacked = _StackedPieces(pieces)
+        J = np.ones(x0.coords.size)
+        J[0] = -1.0
+        for _ in range(50):
+            y = exp(x0, rand_tangent(rng, x0, 1.0)).coords
+            ref = np.array([np.arcsinh(np.linalg.norm((S.normals * J) @ y)) - c
+                            for S, c in pieces])
+            got = stacked.values(y)
+            if kind == "hyperplanes":
+                assert np.array_equal(got, np.arcsinh(np.abs(stacked.N @ y)) - stacked.cs)
+            assert np.allclose(got, ref, rtol=0.0, atol=8 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("kind", ["hyperplanes", "mixed"])
+    def test_chord_gradient_lipschitz(self, rng, kind):
+        x0, m = self._pieces_instance(rng, kind)
         lam = 2e-3
         env = fn_moreau(m, MoreauParams(lam))
         L = 1.0 / np.tanh(lam)
@@ -326,10 +351,9 @@ class TestMoreau:
         assert env.value(z) == pytest.approx(0.0, abs=1e-12)
         assert env.fmin == 0.0
 
-    def test_generic_subgradient_path(self, rng):
-        # an oracle with no structure hooks exercises the subgradient solver
-        z = rand_point(rng, 3, 0.8)
-        inner = fn_dist_point(z)
+    def test_refuses_oracle_without_pieces(self, rng):
+        # an oracle with no structure hooks has no prox solver
+        inner = fn_dist_point(rand_point(rng, 3, 0.8))
 
         class Opaque(FnOracle):
             lipschitz = 1.0
@@ -337,14 +361,8 @@ class TestMoreau:
             def eval(self, x):
                 return inner.eval(x)
 
-        lam = 0.3
-        env = fn_moreau(Opaque(), MoreauParams(lam, prox_tol=1e-9, prox_max_iter=4000))
-        for _ in range(5):
-            x = rand_point(rng, 3, 2.0)
-            D = dist(x, z)
-            if D < lam:
-                continue
-            assert env.value(x) == pytest.approx(D - lam / 2.0, abs=2e-4)
+        with pytest.raises(DomainError):
+            fn_moreau(Opaque(), MoreauParams(0.3))
 
 
 class TestTaper:

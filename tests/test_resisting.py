@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 import hypergconv as hg
-from hypergconv import DomainError, base_point, dist, exp, log, zeta
+from hypergconv import DomainError, RangeLimitError, base_point, dist, exp, log, zeta
 from hypergconv.oracles import OracleSample
 from hypergconv.resisting import (
     BudgetExhausted,
     GameOracle,
     export_transcript_jsonl,
+    nonsmooth_gap_bound,
     nonsmooth_new,
+    smooth_gap_bound,
     smooth_new,
 )
 from hypergconv.sampling import make_rng, random_point_in_ball
@@ -62,6 +64,27 @@ class TestNonsmoothSetup:
         assert len(g.chosen) == 4
         assert len({i for i, _ in g.chosen}) == 4
         assert fstar == -g.a
+
+
+class TestGapBounds:
+    @pytest.mark.parametrize("T", [2, 4, 16, 48])
+    def test_closed_forms_match_built_games(self, T):
+        for r in (0.5, 2.0, 5.0, 30.0):
+            ns, sm = nonsmooth_new(T, r), smooth_new(T, r)
+            assert nonsmooth_gap_bound(T, r) == ns.gap_bound()
+            assert smooth_gap_bound(T, r) == sm.gap_bound()
+            # the same formulas read off the built game's own constants
+            assert ns.gap_bound() == ns.r / (2.0 * zeta(ns.r) * np.sqrt(ns.T))
+            assert sm.gap_bound() == 0.5 * (sm.smoothness * sm.r ** 2 / sm.T ** 2) / (
+                8.0 * zeta(sm.r) ** 2)
+
+    @pytest.mark.parametrize("bound", [nonsmooth_gap_bound, smooth_gap_bound])
+    def test_same_errors_as_games(self, bound):
+        with pytest.raises(DomainError):
+            bound(1, 1.0)
+        for r in (0.0, 31.0):
+            with pytest.raises(RangeLimitError):
+                bound(4, r)
 
 
 class TestNonsmoothGame:
