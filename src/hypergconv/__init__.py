@@ -25,6 +25,6 @@ from .hyperboloid import (
     base_point,
     frame_at_base,
 )
-from .sampling import make_rng, spawn_rng
+from .sampling import make_rng
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cutting, interpolation, resisting, solvers
+from . import cutting, interpolation, resisting
 from .hyperboloid import _mink_x, base_point, dist, exp, zeta
 from .hyperboloid import log as hlog
 from .oracles import (
@@ -32,10 +32,9 @@ from .oracles import (
     midpoint_convexity_gap,
     subgradient_gap,
     taper,
+    worst_chord_slope,
 )
-from .sampling import ball_radius_sampler, make_rng, random_point_in_ball, \
-    random_unit_tangent
-from .instances import max_of_distances_instance
+from .sampling import make_rng, random_point_in_ball, random_unit_tangent
 
 KINDS = ["lb-nonsmooth", "lb-smooth", "polyak-worst", "cut-game", "interp",
          "zoo-validate", "sweep"]
@@ -59,38 +58,12 @@ def _row(kind, case, measured, bound, passed, runtime):
 # ---------------------------------------------------------------------------
 
 
-def _players_for_game(names, game, seed):
-    out = {}
-    for name in names:
-        if name == "polyak":
-            out[name] = lambda go, g=game: solvers.polyak_sgd(
-                go, fstar=-g.a, x0=g.xref, s0=g.r, T=g.T)
-        elif name == "rgd":
-            out[name] = lambda go, g=game: solvers.rgd(
-                go, step=g.r / (4.0 * g.T), x0=g.xref, T=g.T)
-        elif name == "random":
-            def rand_player(go, g=game, s=seed):
-                rng = make_rng(s)
-                sampler = ball_radius_sampler(g.d, g.r)
-                tr = solvers.Trace()
-                for _ in range(g.T):
-                    p = random_point_in_ball(rng, g.xref, g.r, sampler)
-                    F, gr = go.eval(p)
-                    tr.samples.append(resisting.OracleSample(F, p, gr))
-                return tr
-            out[name] = rand_player
-        else:
-            raise ValueError(f"unknown player {name!r}")
-    return out
-
-
 def _game_rows(kind, game_factory, players, seed, extra_checks=None):
     rows, transcript = [], {}
     for name in players:
         t0 = time.perf_counter()
         game = game_factory()
-        go = resisting.GameOracle(game)
-        _players_for_game([name], game, seed)[name](go)
+        resisting.play(game, name, seed)
         f, xstar, fstar = game.finalize()
         cert = game.certificate()
         bound = game.gap_bound()
@@ -131,29 +104,11 @@ def run_lb_smooth(params, seed):
 
     def extra(game, seed):
         rng = make_rng(seed + 1)
-        lam = game.lam
         L = game.smoothness
-        worst_sandwich = 0.0
-        for k in range(game.T):
-            fk = game.running_max(k)
-            env = game.running_envelope(k)
-            xk = game.history[k].x
-            for _ in range(n_sandwich):
-                p = random_point_in_ball(rng, xk, game.delta / 2.0)
-                fv, ev = fk.value(p), env.value(p)
-                worst_sandwich = max(worst_sandwich, ev - fv, (fv - lam) - ev)
+        worst_sandwich = game.worst_sandwich(rng, n_sandwich)
         f, _, _ = game.finalize()
-        worst_slope = 0.0
-        for _ in range(n_chords):
-            p = random_point_in_ball(rng, game.xref, game.r / 2.0)
-            u = random_unit_tangent(rng, p)
-            h = lam * (1.0 + 3.0 * rng.uniform())
-            q = exp(p, u.scaled(h))
-            _, gp = f.eval(p)
-            _, gq = f.eval(q)
-            diffvec = resisting.ptransport(p, q, gp).vec - gq.vec
-            slope = np.sqrt(max(float(np.sum(diffvec[1:] ** 2) - diffvec[0] ** 2), 0.0)) / h
-            worst_slope = max(worst_slope, slope)
+        worst_slope = worst_chord_slope(f, rng, game.xref, game.r / 2.0,
+                                        game.lam, n_chords)
         ok = worst_sandwich <= 1e-9 and worst_slope <= L + 1e-3
         return ok, {"worst_sandwich": worst_sandwich,
                     "worst_chord_slope": worst_slope, "L": L}
@@ -163,27 +118,20 @@ def run_lb_smooth(params, seed):
 
 
 def run_polyak_worst(params, seed):
+    if "highprec" in params:
+        raise ValueError("polyak-worst takes no 'highprec' key: the mpmath "
+                         "replay runs exactly when r > 10")
     eps, r = float(params["eps"]), float(params["r"])
-    use_hp = bool(params.get("highprec", r > 10.0))
+    use_hp = r > 10.0
     t0 = time.perf_counter()
     if use_hp:
-        from .highprec import worst_trajectory_report
-        rep = worst_trajectory_report(eps, r)
-        d = rep.d
-        ladder_err, radius_err = rep.max_ladder_dist, rep.max_radius_err
-        step_err, gap_err, min_gap = rep.max_step_err, rep.max_gap_err, rep.min_gap
+        # imported here so that ``import hypergconv.cli`` never loads mpmath
+        from . import highprec as replay
     else:
-        inst = resisting.worst_build(eps, r)
-        f = resisting.worst_oracle(inst)
-        trace = solvers.polyak_sgd(f, fstar=0.0, x0=inst.ladder[0],
-                                   s0=inst.r, T=inst.T)
-        d = inst.d
-        ladder_err = max(dist(s.x, y) for s, y in zip(trace.samples, inst.ladder))
-        radius_err = max(abs(s - rk) for s, rk in zip(trace.radii, inst.radii))
-        step_err = max(abs(e - dk) for e, dk
-                       in zip(trace.step_lengths[:inst.d - 1], inst.deltas))
-        gap_err = max(abs(g - rk) for g, rk in zip(trace.gaps, inst.radii))
-        min_gap = min(trace.gaps)
+        replay = resisting
+    rep = replay.worst_trajectory_report(eps, r)
+    ladder_err, radius_err = rep.max_ladder_dist, rep.max_radius_err
+    step_err, gap_err, min_gap = rep.max_step_err, rep.max_gap_err, rep.min_gap
     dt = time.perf_counter() - t0
     rows = [
         _row("polyak-worst", f"eps={eps},r={r},trajectory", ladder_err, 1e-6,
@@ -195,7 +143,7 @@ def run_polyak_worst(params, seed):
         _row("polyak-worst", f"eps={eps},r={r},gap=floor(r/2)", min_gap, r / 2.0,
              min_gap >= r / 2.0 - 1e-6 and gap_err <= 1e-6, 0.0),
     ]
-    transcript = {"d": d, "highprec": use_hp, "ladder_err": ladder_err,
+    transcript = {"d": rep.d, "highprec": use_hp, "ladder_err": ladder_err,
                   "radius_err": radius_err, "step_err": step_err,
                   "gap_err": gap_err, "min_gap": min_gap}
     return rows, transcript

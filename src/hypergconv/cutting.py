@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .hyperboloid import DomainError, HPoint, HTangent, base_point, _mink
+from .hyperboloid import DomainError, HPoint, HTangent, base_point
 from .sampling import ball_radius_sampler, make_rng
 
 __all__ = [
@@ -38,6 +38,12 @@ __all__ = [
     "write_transcript_json",
     "write_summary_csv",
 ]
+
+
+# Candidate normals the adversary samples per round.
+N_NORMAL_SAMPLES = 512
+# The packing stops after this many consecutive rejections per accepted center.
+N_FAIL_FACTOR = 200
 
 
 class AdversaryExhausted(RuntimeError):
@@ -60,9 +66,7 @@ class CutConfig:
     d: int
     r: float
     eps: float | None = None
-    n_normal_samples: int = 512
     seed: int = 0
-    n_fail_factor: int = 200
     max_centers: int = 2048
     max_rounds: int = 200
 
@@ -95,7 +99,7 @@ def packing_build(cfg: CutConfig) -> list[HPoint]:
 
     Samples volume-uniform points in B(x_ref, r - eps r), accepts a proposal
     if it keeps distance >= 2 eps r from all accepted centers, and stops after
-    n_fail_factor * (current size) consecutive rejections.  Deterministic for
+    N_FAIL_FACTOR * (current size) consecutive rejections.  Deterministic for
     a given seed.
     """
     rng = make_rng(cfg.seed)
@@ -135,7 +139,7 @@ def _packing_coords(cfg: CutConfig, rng: np.random.Generator) -> np.ndarray:
                 conflict = bool((q < min_cosh).any())
             if conflict:
                 fails += 1
-                if fails >= cfg.n_fail_factor * max(1, n_acc):
+                if fails >= N_FAIL_FACTOR * max(1, n_acc):
                     stop = True
                     break
             else:
@@ -171,9 +175,6 @@ class CutGameState:
     def n_candidates(self) -> int:
         return self.candidates.shape[0]
 
-    def candidate_points(self) -> list[HPoint]:
-        return [HPoint(c) for c in self.candidates]
-
     def verify_consistency(self) -> bool:
         """Exact re-check: every survivor respects every recorded half-space."""
         sh = np.sinh(self.cfg.ball_radius)
@@ -205,8 +206,7 @@ def adversary_respond(state: CutGameState, x_k: HPoint,
     if state.n_candidates == 0:
         raise AdversaryExhausted("no candidates remain")
     xc = x_k.coords
-    n = cfg.n_normal_samples
-    raw = rng.standard_normal((n, cfg.d + 1))
+    raw = rng.standard_normal((N_NORMAL_SAMPLES, cfg.d + 1))
     # project to the tangent space at x and normalize
     ip = _form(raw, xc)
     raw = raw + ip[:, None] * xc[None, :]
@@ -349,7 +349,7 @@ def play_game(cfg: CutConfig, player=None) -> GameTranscript:
 def write_transcript_json(tr: GameTranscript, path) -> None:
     doc = {
         "config": {"d": tr.cfg.d, "r": tr.cfg.r, "eps": tr.cfg.eps,
-                   "n_normal_samples": tr.cfg.n_normal_samples, "seed": tr.cfg.seed},
+                   "n_normal_samples": N_NORMAL_SAMPLES, "seed": tr.cfg.seed},
         "packing_size": tr.packing_size,
         "theoretical_floor": tr.floor,
         "target_rounds": tr.cfg.target_rounds(),

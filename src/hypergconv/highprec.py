@@ -14,14 +14,16 @@ closed-form); the general-purpose float64 API lives in ``resisting``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from mpmath import mp, mpf
 
 from .hyperboloid import DomainError, zeta
+from .resisting import WorstReplayReport
 
-__all__ = ["WorstReplayReport", "worst_trajectory_report"]
+__all__ = ["worst_trajectory_report"]
+
+# Working precision of the replay, in decimal digits.
+DPS = 60
 
 
 def _mdot(u, v):
@@ -62,23 +64,7 @@ def _transport(x, y, u):
     return [ui + coef * (xi + yi) for ui, xi, yi in zip(u, x, y)]
 
 
-@dataclass(frozen=True)
-class WorstReplayReport:
-    """Measured deviations of the Polyak run from the predicted ladder."""
-
-    d: int
-    M: float
-    gaps: list[float]
-    radii: list[float]
-    max_ladder_dist: float
-    max_radius_err: float
-    max_step_err: float
-    max_gap_err: float
-    min_gap: float
-
-
-def worst_trajectory_report(eps: float, r: float, pick: int = +1,
-                            dps: int = 60) -> WorstReplayReport:
+def worst_trajectory_report(eps: float, r: float) -> WorstReplayReport:
     """Build the instance, run Polyak subgradient descent, measure deviations.
 
     The subgradient at the k-th ladder point is the committed answer
@@ -91,7 +77,7 @@ def worst_trajectory_report(eps: float, r: float, pick: int = +1,
     d = int(np.floor(float(zeta(r)) / (32.0 * eps * eps)))
     if d < 2:
         raise DomainError(f"eps={eps} too large for r={r}")
-    with mp.workdps(dps):
+    with mp.workdps(DPS):
         costh = 4 * mpf(repr(eps))
         rr = mpf(repr(r))
         sinth = mp.sqrt(1 - costh * costh)
@@ -117,7 +103,7 @@ def worst_trajectory_report(eps: float, r: float, pick: int = +1,
             frames.append(fr)
             y.append(yk)
 
-        xs = [mp.cosh(radii[-1]) * a + pick * mp.sinh(radii[-1]) * b
+        xs = [mp.cosh(radii[-1]) * a + mp.sinh(radii[-1]) * b
               for a, b in zip(y[-1], frames[-1][d - 1])]
 
         # unit inward normals of the committed half-spaces at each ladder point
@@ -137,9 +123,9 @@ def worst_trajectory_report(eps: float, r: float, pick: int = +1,
                     term = max(term, mp.asinh(-m))
             return _dist(x, xs) + term / costh
 
-        # acosh amplifies roundoff to 10^(-dps/2) near coincident points, so
+        # acosh amplifies roundoff to 10^(-DPS/2) near coincident points, so
         # the match tolerance must sit well above that floor
-        ladder_tol = mpf(10) ** (-(dps // 2 - 5))
+        ladder_tol = mpf(10) ** (-(DPS // 2 - 5))
 
         def answer(x):
             for k in range(d):

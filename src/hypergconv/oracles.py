@@ -29,6 +29,7 @@ from .hyperboloid import (
     ptransport,
     sub_dist,
 )
+from .sampling import random_point_in_ball, random_unit_tangent
 
 __all__ = [
     "FnOracle",
@@ -44,6 +45,7 @@ __all__ = [
     "taper",
     "subgradient_gap",
     "midpoint_convexity_gap",
+    "worst_chord_slope",
 ]
 
 logger = logging.getLogger(__name__)
@@ -236,10 +238,9 @@ class ShiftedMax(FnOracle):
         pieces = []
         for o, c in self.parts:
             sub = o.max_sub_pieces()
-            if sub is None or len(sub) != 1:
+            if sub is None:
                 return None
-            S, shift = sub[0]
-            pieces.append((S, shift + c))
+            pieces.extend((S, shift + c) for S, shift in sub)
         return pieces
 
 
@@ -527,6 +528,7 @@ def _polish_active_set(y_start: np.ndarray, prob: _ProxProblem):
 
     The piece gradients take one mat-vec per piece: the stacked ``N @ y``
     rounds differently and would move polished answers in the last bits.
+    The residual evaluates only the active pieces.
     """
     sp, lam = prob.pieces, prob.lam
     d = prob.U.shape[0]
@@ -537,10 +539,11 @@ def _polish_active_set(y_start: np.ndarray, prob: _ProxProblem):
         return None
     m = len(active)
 
-    def grads_and_vals(u):
+    def grads_and_vals(u, idx):
         y, dy = prob.chart(u)
         vlist, glist = [], []
-        for A, c in zip(sp.blocks, sp.cs):
+        for i in idx:
+            A, c = sp.blocks[i], sp.cs[i]
             q = A @ y
             nq = np.linalg.norm(q)
             vlist.append(np.arcsinh(nq) - c)
@@ -554,11 +557,11 @@ def _polish_active_set(y_start: np.ndarray, prob: _ProxProblem):
     def residual(z):
         u, wf = z[:d], z[d:]
         w = np.concatenate([wf, [1.0 - np.sum(wf)]])
-        vlist, glist = grads_and_vals(u)
+        vlist, glist = grads_and_vals(u, active)
         stat = u / lam
-        for wi, idx in zip(w, active):
-            stat = stat + wi * glist[idx]
-        eq = vlist[active[:-1]] - vlist[active[-1]]
+        for wi, g in zip(w, glist):
+            stat = stat + wi * g
+        eq = vlist[:-1] - vlist[-1]
         return np.concatenate([stat, eq])
 
     z0 = np.concatenate([prob.coords(y_start), np.full(m - 1, 1.0 / m)])
@@ -571,7 +574,7 @@ def _polish_active_set(y_start: np.ndarray, prob: _ProxProblem):
         return None
     if np.linalg.norm(u) > lam * (1.0 + 1e-8):
         return None
-    vlist, _ = grads_and_vals(u)
+    vlist, _ = grads_and_vals(u, range(len(sp.cs)))
     t_new = np.max(vlist[active])
     if np.max(vlist) > t_new + 1e-8:
         return None
@@ -630,3 +633,25 @@ def midpoint_convexity_gap(f: FnOracle, x: HPoint, y: HPoint) -> float:
     """Slack (f(x)+f(y))/2 - f(midpoint); nonnegative for g-convex oracles."""
     mid = exp(x, log(x, y).scaled(0.5))
     return 0.5 * (f.value(x) + f.value(y)) - f.value(mid)
+
+
+def worst_chord_slope(f: FnOracle, rng: np.random.Generator, center: HPoint,
+                      radius: float, lam: float, n: int) -> float:
+    """Largest gradient chord slope |P g(p) - g(q)| / h over n sampled chords.
+
+    p is volume-uniform in B(center, radius), q = exp_p(h u) for a uniform
+    unit tangent u and h uniform in [lam, 4 lam], and P transports g(p) to q.
+    For an L-smooth f every slope is at most L.
+    """
+    worst = 0.0
+    for _ in range(n):
+        p = random_point_in_ball(rng, center, radius)
+        u = random_unit_tangent(rng, p)
+        h = lam * (1.0 + 3.0 * rng.uniform())
+        q = exp(p, u.scaled(h))
+        _, gp = f.eval(p)
+        _, gq = f.eval(q)
+        diffvec = ptransport(p, q, gp).vec - gq.vec
+        slope = np.sqrt(max(float(np.sum(diffvec[1:] ** 2) - diffvec[0] ** 2), 0.0)) / h
+        worst = float(np.maximum(worst, slope))  # carries a NaN slope through
+    return worst

@@ -31,7 +31,6 @@ from .hyperboloid import (
     HTangent,
     RangeLimitError,
     TotallyGeodesicSub,
-    _mink,
     _mink_x,
     base_point,
     dist,
@@ -53,7 +52,8 @@ from .oracles import (
     fn_dist_sub,
     fn_moreau,
 )
-from .solvers import Trace
+from .sampling import make_rng, random_point_in_ball
+from .solvers import Trace, polyak_sgd, rgd
 
 __all__ = [
     "BudgetExhausted",
@@ -61,12 +61,15 @@ __all__ = [
     "SmoothGame",
     "GameOracle",
     "WorstInstance",
+    "WorstReplayReport",
     "nonsmooth_new",
     "smooth_new",
     "nonsmooth_gap_bound",
     "smooth_gap_bound",
+    "play",
     "worst_build",
     "worst_oracle",
+    "worst_trajectory_report",
     "a2_check",
     "gap_bound_check",
     "export_transcript_jsonl",
@@ -251,6 +254,20 @@ class SmoothGame(_GameBase):
     def _final_oracle(self):
         return fn_moreau(super()._final_oracle(), self._params)
 
+    def worst_sandwich(self, rng: np.random.Generator, n: int) -> float:
+        """Largest violation of f_k - lam <= env_k <= f_k (running max f_k, its
+        envelope env_k) at n volume-uniform points of B(x_k, delta/2) per query."""
+        worst = 0.0
+        for k in range(self.T):
+            fk, env = self.running_max(k), self.running_envelope(k)
+            xk = self.history[k].x
+            for _ in range(n):
+                p = random_point_in_ball(rng, xk, self.delta / 2.0)
+                fv, ev = fk.value(p), env.value(p)
+                # np.max carries a NaN through; the builtin max would drop it
+                worst = float(np.max([worst, ev - fv, (fv - self.lam) - ev]))
+        return worst
+
     def gap_bound(self) -> float:
         return smooth_gap_bound(self.T, self.r)
 
@@ -298,6 +315,30 @@ class GameOracle(FnOracle):
             return s.F, s.g
         f, _, _ = self.game.finalize()
         return f.eval(x)
+
+
+def play(game: _GameBase, player: str, seed: int) -> Trace:
+    """Run a reference player for the game's T adversarial queries.
+
+    ``polyak``: exact-f* Polyak subgradient descent from x_ref with certified
+    radius r.  ``rgd``: fixed-step descent with step r / (4T).  ``random``:
+    T volume-uniform queries in B(x_ref, r) drawn from ``make_rng(seed)``.
+    Any other name raises ``ValueError``.
+    """
+    go = GameOracle(game)
+    if player == "polyak":
+        return polyak_sgd(go, fstar=-game.a, x0=game.xref, s0=game.r, T=game.T)
+    if player == "rgd":
+        return rgd(go, step=game.r / (4.0 * game.T), x0=game.xref, T=game.T)
+    if player != "random":
+        raise ValueError(f"unknown player {player!r}")
+    rng = make_rng(seed)
+    trace = Trace()
+    for _ in range(game.T):
+        x = random_point_in_ball(rng, game.xref, game.r)
+        F, g = go.eval(x)
+        trace.samples.append(OracleSample(F, x, g))
+    return trace
 
 
 def export_transcript_jsonl(game: _GameBase, path) -> None:
@@ -535,6 +576,39 @@ def worst_oracle(inst: WorstInstance) -> WorstFunctionOracle:
     return WorstFunctionOracle(inst)
 
 
+@dataclass(frozen=True)
+class WorstReplayReport:
+    """Measured deviations of the Polyak run from the predicted ladder."""
+
+    d: int
+    M: float
+    gaps: list[float]
+    radii: list[float]
+    max_ladder_dist: float
+    max_radius_err: float
+    max_step_err: float
+    max_gap_err: float
+    min_gap: float
+
+
+def worst_trajectory_report(eps: float, r: float) -> WorstReplayReport:
+    """Build the instance, run Polyak descent from the first ladder point and
+    measure its deviations from the ladder in float64 (r <= 14; the mpmath
+    twin is ``highprec.worst_trajectory_report``, see README)."""
+    inst = worst_build(eps, r)
+    trace = polyak_sgd(worst_oracle(inst), fstar=0.0, x0=inst.ladder[0],
+                       s0=inst.r, T=inst.T)
+    return WorstReplayReport(
+        d=inst.d, M=inst.M, gaps=trace.gaps, radii=inst.radii,
+        max_ladder_dist=max(dist(s.x, y) for s, y in zip(trace.samples, inst.ladder)),
+        max_radius_err=max(abs(s - rk) for s, rk in zip(trace.radii, inst.radii)),
+        max_step_err=max(abs(e - dk) for e, dk
+                         in zip(trace.step_lengths[:inst.d - 1], inst.deltas)),
+        max_gap_err=max(abs(g - rk) for g, rk in zip(trace.gaps, inst.radii)),
+        min_gap=min(trace.gaps),
+    )
+
+
 # ---------------------------------------------------------------------------
 # trace checks
 # ---------------------------------------------------------------------------
@@ -599,11 +673,10 @@ class GapBoundReport:
     bound: float
 
 
-def gap_bound_check(f: FnOracle, xref: HPoint, r: float,
-                    slack: float = 1e-6) -> GapBoundReport:
-    """Check f(xref) - f* <= (1/2) L r^2 * 8/zeta(r) for smooth g-convex f."""
+def gap_bound_check(f: FnOracle, xref: HPoint, r: float) -> GapBoundReport:
+    """Check f(xref) - f* <= (1/2) L r^2 * 8/zeta(r) + 1e-6 for smooth g-convex f."""
     if f.fmin is None or f.smoothness is None:
         raise DomainError("gap bound check needs fmin and smoothness metadata")
     gap = f.value(xref) - f.fmin
     bound = 0.5 * f.smoothness * r * r * 8.0 / float(zeta(r))
-    return GapBoundReport(gap <= bound + slack, gap, bound)
+    return GapBoundReport(gap <= bound + 1e-6, gap, bound)

@@ -16,9 +16,7 @@ from .hyperboloid import HPoint, HTangent, exp, _mink, _point_unchecked
 
 __all__ = [
     "make_rng",
-    "spawn_rng",
     "random_unit_tangent",
-    "random_tangent",
     "random_point_in_ball",
     "ball_radius_sampler",
 ]
@@ -27,11 +25,6 @@ __all__ = [
 def make_rng(seed: int) -> np.random.Generator:
     """Philox generator for the given seed."""
     return np.random.Generator(np.random.Philox(int(seed)))
-
-
-def spawn_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent Philox stream for a (seed, key...) pair, e.g. one grid cell."""
-    return np.random.Generator(np.random.Philox(key=np.array([seed, *key], dtype=np.uint64)))
 
 
 def random_unit_tangent(rng: np.random.Generator, x: HPoint) -> HTangent:
@@ -44,21 +37,15 @@ def random_unit_tangent(rng: np.random.Generator, x: HPoint) -> HTangent:
             return HTangent(x, g / n)
 
 
-def random_tangent(rng: np.random.Generator, x: HPoint, scale: float = 1.0) -> HTangent:
-    """Tangent vector with uniform direction and length uniform on [0, scale]."""
-    u = random_unit_tangent(rng, x)
-    return u.scaled(scale * rng.uniform())
-
-
 @functools.lru_cache(maxsize=64)
-def ball_radius_sampler(d: int, radius: float, grid_size: int = 4096):
+def ball_radius_sampler(d: int, radius: float):
     """Sampler for the radial law of the uniform distribution on a ball.
 
     The hyperbolic volume element gives radial density proportional to
     sinh^{d-1}(t); inversion interpolates a dense cumulative-trapezoid grid,
     which is deterministic and accurate enough for sampling purposes.
     """
-    ts = np.linspace(0.0, radius, grid_size)
+    ts = np.linspace(0.0, radius, 4096)
     dens = np.sinh(ts) ** (d - 1)
     cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(ts))])
     cdf /= cdf[-1]
@@ -70,12 +57,9 @@ def ball_radius_sampler(d: int, radius: float, grid_size: int = 4096):
     return sample
 
 
-def random_point_in_ball(rng: np.random.Generator, center: HPoint, radius: float,
-                         sampler=None) -> HPoint:
+def random_point_in_ball(rng: np.random.Generator, center: HPoint, radius: float) -> HPoint:
     """Uniform (volume-measure) random point in B(center, radius)."""
-    if sampler is None:
-        sampler = ball_radius_sampler(center.d, radius)
-    t = float(sampler(rng, 1)[0])
+    t = float(ball_radius_sampler(center.d, radius)(rng, 1)[0])
     if t == 0.0:
         return center
     c = center.coords

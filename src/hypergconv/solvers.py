@@ -22,7 +22,6 @@ from .oracles import FnOracle, OracleSample
 
 __all__ = [
     "CertificateError",
-    "PolyakState",
     "Trace",
     "polyak_sgd",
     "rgd",
@@ -38,15 +37,6 @@ GAP_SLACK = 1e-9
 
 class CertificateError(RuntimeError):
     """The supplied f*/radius certificate is inconsistent with observed values."""
-
-
-@dataclass(frozen=True)
-class PolyakState:
-    """Iterate, certified radius of a ball containing the minimizer, and step index."""
-
-    x: HPoint
-    s: float
-    k: int
 
 
 @dataclass
@@ -73,14 +63,8 @@ def polyak_guarantee(s0: float, M: float, T: int) -> float:
     return 2.0 * zeta(s0) * s0 * s0 * M * M / T
 
 
-def polyak_sgd(f: FnOracle, fstar: float, x0: HPoint, s0: float, T: int,
-               step_rule=None) -> Trace:
-    """Subgradient descent with exact-f* Polyak step; stops early at the minimizer.
-
-    ``step_rule`` optionally overrides the step length: a callable
-    ``(gap, s, gnorm) -> eta`` (exploratory hook; the certified-radius update
-    is only maintained for the default rule).
-    """
+def polyak_sgd(f: FnOracle, fstar: float, x0: HPoint, s0: float, T: int) -> Trace:
+    """Subgradient descent with exact-f* Polyak step; stops early at the minimizer."""
     if s0 <= 0:
         raise CertificateError("initial radius must be positive")
     trace = Trace()
@@ -100,11 +84,6 @@ def polyak_sgd(f: FnOracle, fstar: float, x0: HPoint, s0: float, T: int,
             break
         if s <= 0.0:
             raise CertificateError("certified radius hit zero with a positive gap")
-        if step_rule is not None:
-            eta = float(step_rule(gap, s, gnorm))
-            trace.step_lengths.append(eta * gnorm)
-            x = exp(x, g.scaled(-eta))
-            continue
         c = gap / (s * gnorm)
         # the certified-cosine noise floor grows with the coordinate scale
         # cosh(s); only violations beyond it falsify the certificate

@@ -16,9 +16,8 @@ import pytest
 import hypergconv as hg
 from hypergconv import base_point, dist, exp, frame_at_base, gspan, log, \
     mink_inner, sub_dist, zeta
-from hypergconv import cli
+from hypergconv import cli, highprec, resisting
 from hypergconv.cutting import CutConfig, play_game, random_ball_player, volume_ball
-from hypergconv.highprec import worst_trajectory_report
 from hypergconv.instances import max_of_distances_instance
 from hypergconv.interpolation import (
     InterpData,
@@ -31,19 +30,12 @@ from hypergconv.interpolation import (
 from hypergconv.oracles import (
     OracleSample,
     fn_sqdist_point,
-    subgradient_gap,
     taper,
+    worst_chord_slope,
 )
-from hypergconv.resisting import (
-    GameOracle,
-    gap_bound_check,
-    nonsmooth_new,
-    smooth_new,
-    worst_build,
-    worst_oracle,
-)
-from hypergconv.sampling import make_rng, random_point_in_ball, random_unit_tangent
-from hypergconv.solvers import polyak_guarantee, polyak_sgd, rgd, Trace
+from hypergconv.resisting import gap_bound_check, nonsmooth_new, play, smooth_new
+from hypergconv.sampling import make_rng, random_point_in_ball
+from hypergconv.solvers import polyak_guarantee, polyak_sgd
 
 from conftest import rand_point, rand_tangent, rand_unit
 
@@ -88,26 +80,13 @@ def test_criterion_1_manifold_identities():
     report(1, "manifold identities at d in {2,5,10}", time.perf_counter() - t0, 5.0)
 
 
-def play_nonsmooth_cell(T, r, player, seed):
-    game = nonsmooth_new(T, r)
-    go = GameOracle(game)
-    if player == "polyak":
-        polyak_sgd(go, fstar=-game.a, x0=game.xref, s0=r, T=T)
-    elif player == "rgd":
-        rgd(go, step=r / (4 * T), x0=game.xref, T=T)
-    else:
-        rng = make_rng(seed)
-        for _ in range(T):
-            go.eval(random_point_in_ball(rng, game.xref, r))
-    return game
-
-
 def test_criterion_2_nonsmooth_lower_bound():
     t0 = time.perf_counter()
     for T in (4, 8, 16):
         for r in (1.0, 2.0, 5.0):
             for player in ("polyak", "rgd", "random"):
-                game = play_nonsmooth_cell(T, r, player, seed=T * 100 + int(r))
+                game = nonsmooth_new(T, r)
+                play(game, player, seed=T * 100 + int(r))
                 f, xstar, fstar = game.finalize()
                 bound = game.gap_bound()
                 assert all(s.F - fstar >= bound - 1e-9 for s in game.history)
@@ -125,32 +104,15 @@ def test_criterion_3_smoothed_lower_bound():
     for T in (4, 8, 16):
         for r in (1.0, 2.0, 5.0):
             game = smooth_new(T, r)
-            go = GameOracle(game)
-            polyak_sgd(go, fstar=-game.a, x0=game.xref, s0=r, T=T)
+            play(game, "polyak", seed=0)
             f, xstar, fstar = game.finalize()
             lam, L = game.lam, game.smoothness
             assert L == pytest.approx(1.0 / np.tanh(game.a / (8 * T)))
             bound = game.gap_bound()
             assert all(s.F - fstar >= bound - 1e-6 for s in game.history)
             rng = make_rng(1000 + T + int(r))
-            for k in range(T):
-                fk = game.running_max(k)
-                env = game.running_envelope(k)
-                xk = game.history[k].x
-                for _ in range(100):
-                    p = random_point_in_ball(rng, xk, game.delta / 2)
-                    fv, ev = fk.value(p), env.value(p)
-                    assert fv - lam - 1e-12 <= ev <= fv + 1e-12
-            worst_slope = 0.0
-            for _ in range(10):
-                p = random_point_in_ball(rng, game.xref, r / 2)
-                u = random_unit_tangent(rng, p)
-                h = lam * (1.0 + 3.0 * rng.uniform())
-                q = exp(p, u.scaled(h))
-                diffvec = hg.ptransport(p, q, f.grad(p)).vec - f.grad(q).vec
-                worst_slope = max(worst_slope, np.sqrt(
-                    max(mink_inner(diffvec, diffvec), 0.0)) / h)
-            assert worst_slope <= L + 1e-3
+            assert game.worst_sandwich(rng, 100) <= 1e-12
+            assert worst_chord_slope(f, rng, game.xref, r / 2, lam, 10) <= L + 1e-3
     report(3, "smoothed resisting oracle: sandwich, gap, smoothness",
            time.perf_counter() - t0, 300.0)
 
@@ -158,25 +120,16 @@ def test_criterion_3_smoothed_lower_bound():
 def test_criterion_4_exact_trajectory():
     t0 = time.perf_counter()
     for eps in (0.15, 0.17):
-        # float64 carries the construction at r=10
-        inst = worst_build(eps, 10.0)
-        assert inst.T == int(np.floor(float(zeta(10.0)) / (32 * eps * eps)))
-        f = worst_oracle(inst)
-        tr = polyak_sgd(f, fstar=0.0, x0=inst.ladder[0], s0=inst.r, T=inst.T)
-        assert max(dist(s.x, y) for s, y in zip(tr.samples, inst.ladder)) <= 1e-6
-        assert max(abs(s - rk) for s, rk in zip(tr.radii, inst.radii)) <= 1e-8
-        assert max(abs(e - dk) for e, dk
-                   in zip(tr.step_lengths[:inst.d - 1], inst.deltas)) <= 1e-8
-        assert all(abs(g - rk) <= 1e-6 and rk >= 5.0
-                   for g, rk in zip(tr.gaps, inst.radii))
-        # r=20 exceeds double precision; certified by the exact replay
-        rep = worst_trajectory_report(eps, 20.0)
-        assert rep.d == int(np.floor(float(zeta(20.0)) / (32 * eps * eps)))
-        assert rep.max_ladder_dist <= 1e-6
-        assert rep.max_radius_err <= 1e-8
-        assert rep.max_step_err <= 1e-8
-        assert rep.max_gap_err <= 1e-6
-        assert all(rk >= 10.0 for rk in rep.radii)
+        # float64 carries the construction at r=10; r=20 exceeds double
+        # precision and is certified by the exact replay
+        for replay, r in ((resisting, 10.0), (highprec, 20.0)):
+            rep = replay.worst_trajectory_report(eps, r)
+            assert rep.d == int(np.floor(float(zeta(r)) / (32 * eps * eps)))
+            assert rep.max_ladder_dist <= 1e-6
+            assert rep.max_radius_err <= 1e-8
+            assert rep.max_step_err <= 1e-8
+            assert rep.max_gap_err <= 1e-6
+            assert all(rk >= r / 2 for rk in rep.radii)
     report(4, "Polyak trajectory equals the predicted ladder (r in {10,20})",
            time.perf_counter() - t0, 10.0)
 
@@ -276,8 +229,7 @@ def test_criterion_8_scalar_suite():
     f.smoothness = float(zeta(r))
     assert gap_bound_check(f, xref, r).ok
     game = smooth_new(4, 1.0)
-    go = GameOracle(game)
-    polyak_sgd(go, fstar=-game.a, x0=game.xref, s0=1.0, T=4)
+    play(game, "polyak", seed=0)
     fearly, _, _ = game.finalize()
     assert gap_bound_check(fearly, game.xref, game.r).ok
     report(8, "scalar taper/zeta inequalities and gap bounds",

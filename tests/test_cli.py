@@ -28,6 +28,7 @@ def strip_runtime(rows):
     ("cut-game", {"d": 3, "r": 4.0, "eps": 0.12, "games": 1, "max_rounds": 5}),
     ("interp", {"theta_grid": [0.2, 1.2, 3], "triples": 10}),
     ("zoo-validate", {"d": 3, "samples": 40}),
+    ("polyak-worst", {"eps": 0.17, "r": 12.0}),
 ])
 def test_kinds_pass(tmp_path, kind, cfg):
     out = tmp_path / "out"
@@ -37,6 +38,12 @@ def test_kinds_pass(tmp_path, kind, cfg):
     rows = read_rows(out)
     assert rows and all(r["passed"] == "True" for r in rows)
     assert (out / "transcript.json").exists()
+
+
+def test_polyak_worst_refuses_highprec_key(tmp_path):
+    cfg = write_cfg(tmp_path, {"eps": 0.17, "r": 8.0, "highprec": True})
+    with pytest.raises(ValueError, match="highprec"):
+        cli.main(["polyak-worst", "--config", cfg, "--out", str(tmp_path / "o")])
 
 
 def test_config_parse_error(tmp_path):

@@ -364,6 +364,24 @@ class TestMoreau:
         with pytest.raises(DomainError):
             fn_moreau(Opaque(), MoreauParams(0.3))
 
+    def test_max_of_maxes_matches_flat_max(self, rng):
+        # a max of maxes of shifted distances is itself one: its envelope
+        # equals that of the flat max over the same pieces
+        z1, z2, a = (rand_point(rng, 3, 0.8) for _ in range(3))
+        H = HalfSpace(a, rand_unit(rng, a)).boundary
+        inner = fn_shifted_max([(fn_dist_point(z1), 0.1), (fn_dist_sub(H), 0.2)])
+        nested = fn_shifted_max([(inner, 0.3), (fn_dist_point(z2), 0.05)])
+        flat = fn_shifted_max([(fn_dist_point(z1), 0.1 + 0.3),
+                               (fn_dist_sub(H), 0.2 + 0.3),
+                               (fn_dist_point(z2), 0.05)])
+        env_nested = fn_moreau(nested, MoreauParams(0.3))
+        env_flat = fn_moreau(flat, MoreauParams(0.3))
+        for _ in range(10):
+            x = rand_point(rng, 3, 1.5)
+            (Fn, gn), (Ff, gf) = env_nested.eval(x), env_flat.eval(x)
+            assert Fn == Ff
+            assert np.array_equal(gn.vec, gf.vec)
+
 
 class TestTaper:
     def test_flat_region(self):

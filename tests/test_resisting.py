@@ -3,36 +3,22 @@ import json
 import numpy as np
 import pytest
 
-import hypergconv as hg
-from hypergconv import DomainError, RangeLimitError, base_point, dist, exp, log, zeta
-from hypergconv.oracles import OracleSample
+from hypergconv import DomainError, RangeLimitError, exp, zeta
+from hypergconv.hyperboloid import _tangent_unchecked
+from hypergconv.oracles import worst_chord_slope
 from hypergconv.resisting import (
     BudgetExhausted,
-    GameOracle,
     export_transcript_jsonl,
     nonsmooth_gap_bound,
     nonsmooth_new,
+    play,
     smooth_gap_bound,
     smooth_new,
 )
 from hypergconv.sampling import make_rng, random_point_in_ball
-from hypergconv.solvers import polyak_sgd, rgd, Trace
-
-from conftest import rand_point
 
 # arctanh(tanh(1)/sqrt(4)), frozen from a 30-digit evaluation
 A_T4_R1 = 0.4009915814270069
-
-
-def run_random_player(game, seed):
-    rng = make_rng(seed)
-    go = GameOracle(game)
-    tr = Trace()
-    for _ in range(game.T):
-        p = random_point_in_ball(rng, game.xref, game.r)
-        F, g = go.eval(p)
-        tr.samples.append(OracleSample(F, p, g))
-    return tr
 
 
 class TestNonsmoothSetup:
@@ -92,13 +78,7 @@ class TestNonsmoothGame:
     def test_gap_bound_and_certificates(self, player):
         for T, r in [(4, 1.0), (8, 2.0)]:
             game = nonsmooth_new(T, r)
-            go = GameOracle(game)
-            if player == "polyak":
-                polyak_sgd(go, fstar=-game.a, x0=game.xref, s0=r, T=T)
-            elif player == "rgd":
-                rgd(go, step=r / (4 * T), x0=game.xref, T=T)
-            else:
-                run_random_player(game, seed=T)
+            play(game, player, seed=T)
             f, xstar, fstar = game.finalize()
             cert = game.certificate()
             bound = game.gap_bound()
@@ -108,9 +88,15 @@ class TestNonsmoothGame:
             assert cert["max_subdist_xstar"] <= 1e-8
             assert cert["max_lawcos_residual"] <= 1e-9
 
+    def test_play_refuses_unknown_player(self):
+        game = nonsmooth_new(4, 1.0)
+        with pytest.raises(ValueError, match="unknown player"):
+            play(game, "newton", seed=0)
+        assert game.history == []
+
     def test_replay_reproduces_transcript(self):
         game = nonsmooth_new(6, 2.0)
-        run_random_player(game, seed=3)
+        play(game, "random", seed=3)
         f, _, _ = game.finalize()
         for s in game.history:
             F, g = f.eval(s.x)
@@ -119,7 +105,7 @@ class TestNonsmoothGame:
 
     def test_selection_values_nonnegative(self):
         game = nonsmooth_new(6, 2.0)
-        run_random_player(game, seed=4)
+        play(game, "random", seed=4)
         for m in game.selection_margins:
             assert m["h_selected"] >= -1e-9
 
@@ -127,7 +113,7 @@ class TestNonsmoothGame:
         # the final function agrees with every running function near its query
         rng = make_rng(8)
         game = nonsmooth_new(5, 1.5)
-        run_random_player(game, seed=9)
+        play(game, "random", seed=9)
         game.finalize()
         final = game.running_max(game.T - 1)
         for k in range(game.T):
@@ -139,13 +125,13 @@ class TestNonsmoothGame:
 
     def test_chosen_indices_distinct(self):
         game = nonsmooth_new(8, 1.0)
-        run_random_player(game, seed=5)
+        play(game, "random", seed=5)
         idx = [i for i, _ in game.chosen]
         assert len(set(idx)) == len(idx) == 8
 
     def test_transcript_export(self, tmp_path):
         game = nonsmooth_new(4, 1.0)
-        run_random_player(game, seed=6)
+        play(game, "random", seed=6)
         path = tmp_path / "t.jsonl"
         export_transcript_jsonl(game, path)
         rows = [json.loads(line) for line in path.read_text().splitlines()]
@@ -158,21 +144,12 @@ class TestSmoothGame:
     def test_sandwich_against_nonsmooth_twin(self):
         rng = make_rng(12)
         game = smooth_new(4, 1.0)
-        go = GameOracle(game)
-        polyak_sgd(go, fstar=-game.a, x0=game.xref, s0=1.0, T=4)
-        for k in range(game.T):
-            fk = game.running_max(k)
-            env = game.running_envelope(k)
-            xk = game.history[k].x
-            for _ in range(25):
-                p = random_point_in_ball(rng, xk, game.delta / 2)
-                fv, ev = fk.value(p), env.value(p)
-                assert ev <= fv + 1e-12
-                assert ev >= fv - game.lam - 1e-12
+        play(game, "polyak", seed=0)
+        assert game.worst_sandwich(rng, 25) <= 1e-12
 
     def test_same_minimizer_as_nonsmooth_and_bound(self):
         game = smooth_new(4, 2.0)
-        run_random_player(game, seed=21)
+        play(game, "random", seed=21)
         f, xstar, fstar = game.finalize()
         cert = game.certificate()
         assert abs(cert["f_at_xstar"] - fstar) <= 1e-8
@@ -183,25 +160,32 @@ class TestSmoothGame:
     def test_chord_gradient_lipschitz(self):
         rng = make_rng(13)
         game = smooth_new(4, 1.0)
-        run_random_player(game, seed=22)
+        play(game, "random", seed=22)
         f, _, _ = game.finalize()
-        L = game.smoothness
-        for _ in range(25):
-            p = random_point_in_ball(rng, game.xref, 0.5)
-            u = hg.sampling.random_unit_tangent(rng, p)
-            h = game.lam * (1 + 3 * rng.uniform())
-            q = exp(p, u.scaled(h))
-            gp, gq = f.grad(p), f.grad(q)
-            diffvec = hg.ptransport(p, q, gp).vec - gq.vec
-            slope = np.sqrt(max(hg.mink_inner(diffvec, diffvec), 0.0)) / h
-            assert slope <= L + 1e-3
+        slope = worst_chord_slope(f, rng, game.xref, 0.5, game.lam, 25)
+        assert slope <= game.smoothness + 1e-3
+
+    def test_worst_checks_carry_nan(self, monkeypatch):
+        class NanOracle:
+            def value(self, x):
+                return float("nan")
+
+            def eval(self, x):
+                return float("nan"), _tangent_unchecked(x, np.full(x.coords.shape, np.nan))
+
+        game = smooth_new(2, 1.0)
+        play(game, "polyak", seed=0)
+        monkeypatch.setattr(game, "running_envelope", lambda k: NanOracle())
+        assert np.isnan(game.worst_sandwich(make_rng(0), 2))
+        assert np.isnan(worst_chord_slope(NanOracle(), make_rng(0), game.xref,
+                                          0.5, game.lam, 2))
 
     def test_envelope_locality(self):
         # smoothed values near x_k only depend on parts active in the
         # enlarged ball, so the final envelope equals the running one there
         rng = make_rng(14)
         game = smooth_new(4, 1.0)
-        run_random_player(game, seed=23)
+        play(game, "random", seed=23)
         game.finalize()
         for k in range(game.T):
             envk = game.running_envelope(k)

@@ -92,15 +92,6 @@ class TestPolyak:
         with pytest.raises(CertificateError):
             polyak_sgd(f, fstar=1.0, x0=z, s0=2.0, T=3)
 
-    def test_step_rule_hook(self, rng):
-        z = rand_point(rng, 3, 1.0)
-        f = fn_dist_point(z)
-        x0 = base_point(3)
-        tr = polyak_sgd(f, 0.0, x0, s0=2.0, T=4,
-                        step_rule=lambda gap, s, gn: 0.1)
-        assert len(tr.step_lengths) == 3
-        assert all(e == pytest.approx(0.1, abs=1e-12) for e in tr.step_lengths)
-
 
 class TestRGD:
     def test_zero_step_constant(self, rng):

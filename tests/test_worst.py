@@ -3,17 +3,17 @@ import pytest
 
 import hypergconv as hg
 from hypergconv import DomainError, RangeLimitError, base_point, dist, exp, zeta
-from hypergconv.highprec import worst_trajectory_report
+from hypergconv import highprec, resisting
 from hypergconv.oracles import fn_constant, fn_sqdist_point, subgradient_gap
 from hypergconv.resisting import (
     a2_check,
     gap_bound_check,
+    play,
     smooth_new,
     worst_build,
     worst_oracle,
-    GameOracle,
 )
-from hypergconv.sampling import make_rng, random_point_in_ball
+from hypergconv.sampling import make_rng
 from hypergconv.solvers import Trace, polyak_sgd
 from hypergconv.oracles import OracleSample
 
@@ -32,7 +32,7 @@ class TestBuild:
     def test_ladder_count_formula(self):
         inst = worst_build(0.15, 10.0)
         assert inst.d == int(np.floor(float(zeta(10.0)) / (32 * 0.15 ** 2))) == 13
-        rep = worst_trajectory_report(0.15, 20.0)
+        rep = highprec.worst_trajectory_report(0.15, 20.0)
         assert rep.d == 27  # floor(zeta(20)/(32 * 0.0225))
 
     def test_triangle_identities_and_floor(self):
@@ -97,28 +97,23 @@ class TestOracle:
 
 class TestTrajectory:
     def test_polyak_reproduces_ladder_float64(self):
-        inst = worst_build(0.15, 10.0)
-        f = worst_oracle(inst)
-        tr = polyak_sgd(f, fstar=0.0, x0=inst.ladder[0], s0=inst.r, T=inst.T)
-        assert len(tr) == inst.T
-        assert max(dist(s.x, y) for s, y in zip(tr.samples, inst.ladder)) <= 1e-6
-        assert max(abs(s - rk) for s, rk in zip(tr.radii, inst.radii)) <= 1e-8
-        assert max(abs(e - dk) for e, dk
-                   in zip(tr.step_lengths[:inst.d - 1], inst.deltas)) <= 1e-8
-        assert max(abs(g - rk) for g, rk in zip(tr.gaps, inst.radii)) <= 1e-6
-        assert min(tr.gaps) >= inst.r / 2 - 1e-9
+        rep = resisting.worst_trajectory_report(0.15, 10.0)
+        assert len(rep.gaps) == rep.d
+        assert rep.max_ladder_dist <= 1e-6
+        assert rep.max_radius_err <= 1e-8
+        assert rep.max_step_err <= 1e-8
+        assert rep.max_gap_err <= 1e-6
+        assert rep.min_gap >= 10.0 / 2 - 1e-9
 
     def test_float64_matches_highprec(self):
-        inst = worst_build(0.16, 5.0)
-        f = worst_oracle(inst)
-        tr = polyak_sgd(f, fstar=0.0, x0=inst.ladder[0], s0=inst.r, T=inst.T)
-        rep = worst_trajectory_report(0.16, 5.0)
-        assert rep.d == inst.d
-        assert np.allclose(rep.radii, inst.radii, atol=1e-10)
-        assert np.allclose(rep.gaps, tr.gaps, atol=1e-8)
+        rep64 = resisting.worst_trajectory_report(0.16, 5.0)
+        rep = highprec.worst_trajectory_report(0.16, 5.0)
+        assert rep.d == rep64.d
+        assert np.allclose(rep.radii, rep64.radii, atol=1e-10)
+        assert np.allclose(rep.gaps, rep64.gaps, atol=1e-8)
 
     def test_highprec_certificates_at_large_radius(self):
-        rep = worst_trajectory_report(0.17, 20.0)
+        rep = highprec.worst_trajectory_report(0.17, 20.0)
         assert rep.max_ladder_dist <= 1e-6
         assert rep.max_radius_err <= 1e-8
         assert rep.max_step_err <= 1e-8
@@ -172,8 +167,7 @@ class TestGapBound:
 
     def test_smoothed_game_function(self):
         game = smooth_new(4, 1.0)
-        go = GameOracle(game)
-        polyak_sgd(go, fstar=-game.a, x0=game.xref, s0=1.0, T=4)
+        play(game, "polyak", seed=0)
         f, _, _ = game.finalize()
         rep = gap_bound_check(f, game.xref, game.r)
         assert rep.ok
