@@ -20,6 +20,7 @@ from .hyperboloid import (
     gspan,
     sub_exp,
     sub_dist,
+    sub_dist_value,
     halfspace_dist,
     right_triangle,
     base_point,

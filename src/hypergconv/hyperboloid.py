@@ -38,6 +38,7 @@ __all__ = [
     "gspan",
     "sub_exp",
     "sub_dist",
+    "sub_dist_value",
     "halfspace_dist",
     "right_triangle",
     "base_point",
@@ -94,6 +95,25 @@ def _mink_x(u: np.ndarray, v: np.ndarray) -> float:
     plus exact summation evaluate the form of the stored doubles exactly, so
     only the representation error of the inputs remains.
     """
+    p, err = _two_products(u, v)
+    return math.fsum(p.tolist() + err.tolist())
+
+
+def _mink_x_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise ``_mink_x``: entry j equals ``_mink_x(u[j], v[j])`` bit for bit.
+
+    The Dekker products of all rows form as arrays; only the exact sums stay
+    per row.  A sparse row may be passed as its gathered nonzero coordinates
+    (coordinate 0 first): the dropped terms are exact zeros, which leave a
+    correctly rounded sum unchanged.
+    """
+    p, err = _two_products(u, v)
+    return np.array([math.fsum(t) for t in np.hstack([p, err]).tolist()])
+
+
+def _two_products(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker two-products u*v = p + err along the last axis, coordinate 0
+    negated (the Minkowski sign)."""
     p = u * v
     uu = _SPLITTER * u
     uh = uu - (uu - u)
@@ -102,9 +122,9 @@ def _mink_x(u: np.ndarray, v: np.ndarray) -> float:
     vh = vv - (vv - v)
     vl = v - vh
     err = ((uh * vh - p) + uh * vl + ul * vh) + ul * vl
-    p[0] = -p[0]
-    err[0] = -err[0]
-    return math.fsum(p.tolist() + err.tolist())
+    p[..., 0] = -p[..., 0]
+    err[..., 0] = -err[..., 0]
+    return p, err
 
 
 def mink_inner(u, v) -> float | np.ndarray:
@@ -521,18 +541,27 @@ def sub_exp(S: TotallyGeodesicSub, c) -> HPoint:
     return HPoint(p / np.sqrt(-_mink(p, p)))
 
 
+def _sub_dist_q(x: HPoint, S: TotallyGeodesicSub) -> tuple[float, np.ndarray]:
+    """dist(x, S) = arcsinh |q|, and q, the normal components of x."""
+    if x.coords.size != S.ambient_dim:
+        raise DimensionMismatch("point/submanifold dimension mismatch")
+    q = S.normal_components(x)
+    return float(np.arcsinh(np.sqrt(float(np.dot(q, q))))), q
+
+
+def sub_dist_value(x: HPoint, S: TotallyGeodesicSub) -> float:
+    """Distance to a totally geodesic submanifold, without the foot."""
+    return _sub_dist_q(x, S)[0]
+
+
 def sub_dist(x: HPoint, S: TotallyGeodesicSub) -> tuple[float, HPoint]:
     """Distance to a totally geodesic submanifold and the nearest point on it.
 
     dist = arcsinh of the norm of the normal components of x; the foot is the
     Minkowski projection of x onto P rescaled back to the hyperboloid.
     """
-    if x.coords.size != S.ambient_dim:
-        raise DimensionMismatch("point/submanifold dimension mismatch")
-    q = S.normal_components(x)
-    m2 = float(np.dot(q, q))
-    d = float(np.arcsinh(np.sqrt(m2)))
-    if m2 == 0.0:
+    d, q = _sub_dist_q(x, S)
+    if d == 0.0:
         return 0.0, x
     p = x.coords - q @ S.normals
     foot = _point_unchecked(p / np.sqrt(-_mink_x(p, p)))
@@ -577,4 +606,4 @@ def halfspace_dist(x: HPoint, L: HalfSpace) -> float:
     """Distance to a half-space: zero inside, distance to the boundary outside."""
     if L.membership(x):
         return 0.0
-    return sub_dist(x, L.boundary)[0]
+    return sub_dist_value(x, L.boundary)

@@ -28,6 +28,7 @@ from .hyperboloid import (
     log,
     ptransport,
     sub_dist,
+    sub_dist_value,
 )
 from .sampling import random_point_in_ball, random_unit_tangent
 
@@ -146,6 +147,10 @@ class DistToSub(FnOracle):
         g = log(x, foot).scaled(-1.0 / d)
         return d - self.shift, g
 
+    def value(self, x):
+        d = sub_dist_value(x, self.S)
+        return -self.shift if d <= 1e-14 else d - self.shift
+
     def prox_pair(self, x, lam):
         # prox reduces to one dimension along the perpendicular geodesic
         d, foot = sub_dist(x, self.S)
@@ -206,7 +211,9 @@ class ShiftedMax(FnOracle):
 
     Exact ties break to the lowest index; near-ties (within TIE_TOL) are
     reported and logged, since in the adversarial constructions they signal a
-    violated separation margin.
+    violated separation margin.  The parts' values come first, from their
+    ``value``; only the achieving part forms its subgradient, so every part
+    must have ``value(x) == eval(x)[0]`` (see README, "Evaluating a max").
     """
 
     def __init__(self, parts: list[tuple[FnOracle, float]], warn_on_ties: bool = True):
@@ -219,20 +226,29 @@ class ShiftedMax(FnOracle):
         self.lipschitz = max(lips) if all(l is not None for l in lips) else None
         self.strong_convexity = min(o.strong_convexity for o, _ in self.parts)
 
+    def _part_values(self, x) -> np.ndarray:
+        """The shifted part values f_i(x) - offset_i."""
+        return np.array([o.value(x) - c for o, c in self.parts])
+
     def eval_detailed(self, x) -> MaxInfo:
-        evals = [o.eval(x) for o, _ in self.parts]
-        vals = np.array([F - c for (F, _), (_, c) in zip(evals, self.parts)])
+        vals = self._part_values(x)
         best = int(np.argmax(vals))
         ties = tuple(i for i, v in enumerate(vals)
                      if v >= vals[best] - TIE_TOL and i != best)
         if ties and self.warn_on_ties:
             logger.warning("max oracle tie at value %.17g between parts %s",
                            vals[best], (best,) + ties)
-        return MaxInfo(float(vals[best]), evals[best][1], best, ties)
+        _, g = self.parts[best][0].eval(x)
+        return MaxInfo(float(vals[best]), g, best, ties)
 
     def eval(self, x):
         info = self.eval_detailed(x)
         return info.value, info.grad
+
+    def value(self, x):
+        # no tie report: a tie matters only for the choice of subgradient
+        vals = self._part_values(x)
+        return float(vals[np.argmax(vals)])
 
     def max_sub_pieces(self):
         pieces = []
@@ -528,7 +544,8 @@ def _polish_active_set(y_start: np.ndarray, prob: _ProxProblem):
 
     The piece gradients take one mat-vec per piece: the stacked ``N @ y``
     rounds differently and would move polished answers in the last bits.
-    The residual evaluates only the active pieces.
+    The residual evaluates only the active pieces; the final check reads
+    every piece's value and forms no gradient.
     """
     sp, lam = prob.pieces, prob.lam
     d = prob.U.shape[0]
@@ -539,10 +556,10 @@ def _polish_active_set(y_start: np.ndarray, prob: _ProxProblem):
         return None
     m = len(active)
 
-    def grads_and_vals(u, idx):
+    def grads_and_vals(u):
         y, dy = prob.chart(u)
         vlist, glist = [], []
-        for i in idx:
+        for i in active:
             A, c = sp.blocks[i], sp.cs[i]
             q = A @ y
             nq = np.linalg.norm(q)
@@ -557,7 +574,7 @@ def _polish_active_set(y_start: np.ndarray, prob: _ProxProblem):
     def residual(z):
         u, wf = z[:d], z[d:]
         w = np.concatenate([wf, [1.0 - np.sum(wf)]])
-        vlist, glist = grads_and_vals(u, active)
+        vlist, glist = grads_and_vals(u)
         stat = u / lam
         for wi, g in zip(w, glist):
             stat = stat + wi * g
@@ -574,7 +591,9 @@ def _polish_active_set(y_start: np.ndarray, prob: _ProxProblem):
         return None
     if np.linalg.norm(u) > lam * (1.0 + 1e-8):
         return None
-    vlist, _ = grads_and_vals(u, range(len(sp.cs)))
+    y, _ = prob.chart(u)
+    vlist = np.array([np.arcsinh(np.linalg.norm(A @ y)) - c
+                      for A, c in zip(sp.blocks, sp.cs)])
     t_new = np.max(vlist[active])
     if np.max(vlist) > t_new + 1e-8:
         return None

@@ -32,6 +32,7 @@ from .hyperboloid import (
     RangeLimitError,
     TotallyGeodesicSub,
     _mink_x,
+    _mink_x_rows,
     base_point,
     dist,
     exp,
@@ -42,6 +43,7 @@ from .hyperboloid import (
     ptransport,
     right_triangle,
     sub_dist,
+    sub_dist_value,
     zeta,
 )
 from .oracles import (
@@ -102,6 +104,32 @@ def _game_scales(T: int, r: float) -> tuple[float, float]:
     return a, a / (2.0 * T)
 
 
+class _GameMax(ShiftedMax):
+    """The running max of a game: parts dist(., S_l) - a, offsets l * delta.
+
+    Every game hyperplane normal is zero off coordinates 0 and i, so the
+    part values come from one ``_mink_x_rows`` call over the stored pairs
+    ``rows[l] = (n_0, n_i)``, bit for bit the values of the parts themselves.
+    """
+
+    def __init__(self, parts, rows: np.ndarray, idx: np.ndarray, a: float):
+        super().__init__(parts)
+        self._rows, self._idx, self._a = rows, idx, a
+        self._cs = np.array([c for _, c in self.parts])
+
+    def _part_values(self, x):
+        # the parts' own rule: -a on the hyperplane (DistToSub.value)
+        d = _game_dists(x, self._rows, self._idx)
+        return np.where(d <= 1e-14, -self._a, d - self._a) - self._cs
+
+
+def _game_dists(x: HPoint, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """dist(x, S) for the hyperplanes S with sparse normals ``rows``/``idx``."""
+    xc = x.coords
+    q = _mink_x_rows(rows, np.column_stack([np.full(len(idx), xc[0]), xc[idx]]))
+    return np.arcsinh(np.sqrt(q * q))
+
+
 class _GameBase:
     """Shared state for the max-of-hyperplane-distance resisting games."""
 
@@ -112,15 +140,24 @@ class _GameBase:
         self.r = float(r)
         self.xref = base_point(self.d)
         self.frame = frame_at_base(self.d)
-        # hyperplane through z_i^s orthogonal to the geodesic back to x_ref
+        # hyperplane through z_i^s orthogonal to the geodesic back to x_ref;
+        # its unit normal is zero off coordinates 0 and i, and row
+        # 2(i-1) + (s < 0) of _rows keeps the two nonzero ones
         self._subs: dict[tuple[int, int], TotallyGeodesicSub] = {}
         self._z: dict[tuple[int, int], HPoint] = {}
+        rows = []
         for i in range(1, self.d + 1):
             for s in (+1, -1):
                 z = exp(self.xref, self.frame[i - 1].scaled(self.a * s))
                 n = log(z, self.xref)
                 self._z[(i, s)] = z
-                self._subs[(i, s)] = HalfSpace(z, n.scaled(1.0 / n.norm)).boundary
+                S = HalfSpace(z, n.scaled(1.0 / n.norm)).boundary
+                self._subs[(i, s)] = S
+                if np.count_nonzero(S.normals) > 2:
+                    raise GeometryViolation("game normal is nonzero off coordinates 0 and i")
+                rows.append(S.normals[0, [0, i]])
+        self._rows = np.array(rows)
+        self._row_i = np.repeat(np.arange(1, self.d + 1), 2)
         self.remaining: list[int] = list(range(1, self.d + 1))
         self.chosen: list[tuple[int, int]] = []
         self.history: list[OracleSample] = []
@@ -129,35 +166,32 @@ class _GameBase:
 
     # -- construction pieces ------------------------------------------------
 
-    def _h_value(self, i: int, s: int, x: HPoint) -> float:
-        return sub_dist(x, self._subs[(i, s)])[0] - self.a
-
-    def _piece(self, i: int, s: int) -> FnOracle:
-        return fn_dist_sub(self._subs[(i, s)], self.a)
-
     def running_max(self, k: int) -> ShiftedMax:
         """The committed function after k+1 selections (pieces 0..k)."""
-        parts = [(self._piece(i, s), ell * self.delta)
-                 for ell, (i, s) in enumerate(self.chosen[:k + 1])]
-        return ShiftedMax(parts)
+        chosen = self.chosen[:k + 1]
+        parts = [(fn_dist_sub(self._subs[key], self.a), ell * self.delta)
+                 for ell, key in enumerate(chosen)]
+        rows = [2 * i - 2 + (s < 0) for i, s in chosen]
+        return _GameMax(parts, self._rows[rows], self._row_i[rows], self.a)
 
     def _select(self, x: HPoint) -> tuple[int, int]:
-        best = None
-        best_val = -np.inf
-        runner = -np.inf
-        for i in self.remaining:
-            for s in (+1, -1):
-                v = self._h_value(i, s, x)
-                if v > best_val:
-                    runner = best_val
-                    best, best_val = (i, s), v
-                elif v > runner:
-                    runner = v
+        """The remaining (i, s) with the largest h = dist(x, S_i^s) - a.
+
+        Candidates are visited with i ascending, s = +1 before -1; the first
+        largest wins, and the runner-up is the largest of the others.
+        """
+        first = 2 * np.array(self.remaining) - 2
+        rows = np.column_stack([first, first + 1]).ravel()
+        h = _game_dists(x, self._rows[rows], self._row_i[rows]) - self.a
+        best = int(np.argmax(h))
+        best_val = float(h[best])
+        runner = float(np.max(np.delete(h, best)))
         if best_val < -MEMBERSHIP_TOL:
             logger.warning("selected h value %.3e is negative beyond tolerance", best_val)
         self.selection_margins.append(
             {"h_selected": best_val, "runner_up_gap": best_val - runner})
-        return best
+        i, negative = divmod(int(rows[best]), 2)
+        return i + 1, -1 if negative else +1
 
     def _advance(self, x: HPoint) -> ShiftedMax:
         if len(self.chosen) >= self.T:
@@ -194,7 +228,7 @@ class _GameBase:
         """Measured finalize-time certificates (distances, minimum, law-of-cosines)."""
         f, xstar, fstar = self.finalize()
         fx, _ = f.eval(xstar)
-        subdists = [sub_dist(xstar, self._subs[key])[0] for key in self.chosen]
+        subdists = [sub_dist_value(xstar, self._subs[key]) for key in self.chosen]
         lawcos = []
         for key in self.chosen:
             b = dist(xstar, self._z[key])
@@ -654,7 +688,7 @@ def a2_check(inst: WorstInstance, trace: Trace) -> TraceReport:
             a1_res = dist(x, inst.ladder[0])
         else:
             span = gspan(pts, [v for v in vecs if v.norm > 0])
-            a1_res = sub_dist(x, span)[0]
+            a1_res = sub_dist_value(x, span)
         a1_ok = a1_res <= 1e-7
         upto = min(k, len(inst.halfspaces))
         margins = [inst.halfspaces[i].margin(x) for i in range(upto)]

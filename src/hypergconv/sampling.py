@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 
-from .hyperboloid import HPoint, HTangent, exp, _mink, _point_unchecked
+from .hyperboloid import HPoint, HTangent, RangeLimitError, exp, _mink, _point_unchecked
 
 __all__ = [
     "make_rng",
@@ -43,11 +43,17 @@ def ball_radius_sampler(d: int, radius: float):
 
     The hyperbolic volume element gives radial density proportional to
     sinh^{d-1}(t); inversion interpolates a dense cumulative-trapezoid grid,
-    which is deterministic and accurate enough for sampling purposes.
+    which is deterministic and accurate enough for sampling purposes.  Raises
+    ``RangeLimitError`` when sinh^{d-1} overflows or underflows on the grid.
     """
     ts = np.linspace(0.0, radius, 4096)
-    dens = np.sinh(ts) ** (d - 1)
-    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(ts))])
+    with np.errstate(over="ignore"):  # an overflow raises below
+        dens = np.sinh(ts) ** (d - 1)
+        cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(ts))])
+    if not (np.isfinite(cdf[-1]) and cdf[-1] > 0.0):
+        raise RangeLimitError(
+            f"radial law of B(., {radius}) in dimension {d} is not representable "
+            "in double precision")
     cdf /= cdf[-1]
 
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from hypergconv import base_point, exp, frame_at_base
+from hypergconv import base_point
 from hypergconv.sampling import make_rng, random_point_in_ball, random_unit_tangent
 
 

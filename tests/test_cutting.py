@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import hypergconv as hg
-from hypergconv import DomainError, HPoint, base_point, dist
+from hypergconv import DomainError, base_point
 from hypergconv.cutting import (
     AdversaryExhausted,
     CutConfig,
@@ -14,7 +14,6 @@ from hypergconv.cutting import (
     packing_floor,
     play_game,
     random_ball_player,
-    repeat_center_player,
     volume_ball,
     write_summary_csv,
     write_transcript_json,

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import optimize
 
-import hypergconv as hg
 from hypergconv import (
     DimensionMismatch,
     DomainError,
@@ -23,9 +22,11 @@ from hypergconv import (
     ptransport,
     right_triangle,
     sub_dist,
+    sub_dist_value,
     sub_exp,
     zeta,
 )
+from hypergconv.hyperboloid import _mink_x, _mink_x_rows
 from hypergconv.sampling import make_rng
 
 from conftest import rand_point, rand_tangent, rand_unit
@@ -62,6 +63,46 @@ class TestMinkInner:
             mink_inner(np.ones(3), np.ones(4))
         with pytest.raises(DimensionMismatch):
             mink_inner(np.ones(1), np.ones(1))
+
+
+@st.composite
+def point_and_sparse_rows(draw):
+    """Stored coordinates of a point at radius <= 19 in H^d, d in [2, 64], and
+    rows that are zero off coordinates 0 and i.  Half of the rows cancel:
+    n_0 x_0 ~ n_i x_i up to a few ulps, the worst case for the sum."""
+    d = draw(st.integers(2, 64))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = draw(st.floats(0.0, 19.0))
+    u = rng.standard_normal(d)
+    x = np.concatenate([[np.cosh(rho)], np.sinh(rho) * u / np.linalg.norm(u)])
+    m = draw(st.integers(1, 40))
+    idx = rng.integers(1, d + 1, size=m)
+    rows = rng.standard_normal((m, 2)) * np.exp(rng.uniform(-3.0, 3.0, (m, 2)))
+    cancel = rng.uniform(size=m) < 0.5
+    t = rng.standard_normal(m)
+    rows[cancel, 0] = t[cancel] * x[idx[cancel]]
+    rows[cancel, 1] = np.nextafter(t[cancel] * x[0], np.inf * rng.choice(
+        [-1.0, 1.0], size=cancel.sum()))
+    return x, idx, rows
+
+
+class TestMinkRows:
+    # the stacked kernel must equal _mink_x bit for bit: the game selections
+    # and the recorded values built on it feed the CSV digests
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(point_and_sparse_rows())
+    def test_sparse_rows_equal_mink_x(self, case):
+        x, idx, rows = case
+        got = _mink_x_rows(rows, np.column_stack([np.full(len(idx), x[0]), x[idx]]))
+        for j, i in enumerate(idx):
+            n = np.zeros_like(x)
+            n[0], n[i] = rows[j]
+            assert got[j].hex() == _mink_x(n, x).hex()
+
+    def test_full_rows_equal_mink_x(self, rng):
+        u, v = rng.standard_normal((2, 30, 9)) * 1e4
+        got = _mink_x_rows(u, v)
+        assert [g.hex() for g in got] == [_mink_x(a, b).hex() for a, b in zip(u, v)]
 
 
 class TestPointInvariants:
@@ -335,6 +376,13 @@ class TestSubDist:
                 best = min(best, res.fun)
             assert d == pytest.approx(best, abs=1e-6)
             assert dist(x, foot) == pytest.approx(d, abs=1e-8)
+
+    def test_value_equals_sub_dist(self, rng):
+        for k in range(30):
+            base = rand_point(rng, 4, 1.0)
+            S = gspan([base], [rand_unit(rng, base) for _ in range(k % 4)])
+            x = base if k == 0 else rand_point(rng, 4, 3.0)
+            assert sub_dist_value(x, S) == sub_dist(x, S)[0]
 
     def test_distance_function_is_gconvex(self, rng):
         base = rand_point(rng, 4, 1.0)

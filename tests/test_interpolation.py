@@ -17,9 +17,8 @@ from hypergconv.oracles import (
     OracleSample,
     fn_sqdist_point,
     midpoint_convexity_gap,
-    subgradient_gap,
 )
-from hypergconv.sampling import make_rng, random_point_in_ball
+from hypergconv.sampling import random_point_in_ball
 
 from conftest import rand_point, rand_tangent, rand_unit
 

@@ -2,27 +2,28 @@ import logging
 
 import numpy as np
 import pytest
-from scipy import optimize
 
 import hypergconv as hg
+from hypergconv import oracles
 from hypergconv import (
     DomainError,
     HalfSpace,
-    HTangent,
     base_point,
     dist,
     exp,
     frame_at_base,
-    gspan,
     log,
     mink_inner,
     zeta,
 )
+from hypergconv.interpolation import InterpData, construct_sufficient
 from hypergconv.oracles import (
+    TIE_TOL,
     MoreauParams,
     FnOracle,
+    OracleSample,
+    ShiftedMax,
     _StackedPieces,
-    fn_constant,
     fn_dist_point,
     fn_dist_sub,
     fn_moreau,
@@ -33,7 +34,8 @@ from hypergconv.oracles import (
     subgradient_gap,
     taper,
 )
-from hypergconv.sampling import make_rng
+from hypergconv.resisting import nonsmooth_new, play
+from hypergconv.sampling import random_point_in_ball
 
 from conftest import rand_point, rand_tangent, rand_unit
 
@@ -163,6 +165,69 @@ class TestShiftedMax:
         for _ in range(1000):
             a, b = rand_point(rng, 3, 2.0), rand_point(rng, 3, 2.0)
             assert subgradient_gap(m, a, b) >= -1e-8
+
+
+def eager_detailed(m, x):
+    """The eager ShiftedMax evaluation, kept as the reference for the lazy one:
+    every part forms its value and subgradient, nested maxes included."""
+    evals = [eager_detailed(o, x)[:2] if isinstance(o, ShiftedMax) else o.eval(x)
+             for o, _ in m.parts]
+    vals = np.array([F - c for (F, _), (_, c) in zip(evals, m.parts)])
+    best = int(np.argmax(vals))
+    ties = tuple(i for i, v in enumerate(vals)
+                 if v >= vals[best] - TIE_TOL and i != best)
+    return float(vals[best]), evals[best][1], best, ties
+
+
+def _max_cases(rng):
+    """(max, query points): a game max, a mixed point/hyperplane max, a max of
+    maxes with an exact tie, and the interpolant of construct_sufficient."""
+    game = nonsmooth_new(16, 2.0)
+    play(game, "polyak", 0)
+    queries = [s.x for s in game.history] + [rand_point(rng, 16, 2.0) for _ in range(5)]
+    yield game.running_max(7), queries
+    yield game.finalize()[0], queries
+    x0 = base_point(4)
+    parts = []
+    for k in range(6):
+        anchor = exp(x0, rand_unit(rng, x0).scaled(0.5 * rng.uniform()))
+        o = (fn_dist_point(anchor) if k % 2 else
+             fn_dist_sub(HalfSpace(anchor, rand_unit(rng, anchor)).boundary, 0.1))
+        parts.append((o, 0.03 * k))
+    mixed = fn_shifted_max(parts)
+    queries = [rand_point(rng, 4, 1.5) for _ in range(20)] + [x0]
+    yield mixed, queries
+    yield fn_shifted_max([(fn_shifted_max(parts[:3]), 0.0), (mixed, 0.0),
+                          (parts[4][0], -0.2)]), queries
+    src = fn_sqdist_point(rand_point(rng, 3, 1.0))
+    items = []
+    for _ in range(5):
+        p = random_point_in_ball(rng, src.z, 0.45)
+        F, g = src.eval(p)
+        items.append(OracleSample(F, p, g))
+    f = construct_sufficient(InterpData(items, mu=1.0))
+    yield f, [s.x for s in items] + [rand_point(rng, 3, 1.5) for _ in range(10)]
+
+
+class TestLazyMax:
+    def test_lazy_equals_eager(self, rng):
+        n_ties = 0
+        for m, queries in _max_cases(rng):
+            for x in queries:
+                F, g, best, ties = eager_detailed(m, x)
+                info = m.eval_detailed(x)
+                assert (info.value, info.argmax, info.ties) == (F, best, ties)
+                assert info.grad.vec.tobytes() == g.vec.tobytes()
+                assert m.value(x) == F
+                n_ties += bool(ties)
+        assert n_ties > 0
+
+    def test_value_forms_no_gradient(self, rng, monkeypatch):
+        cases = list(_max_cases(rng))[:-1]  # the interpolant's sums form theirs
+        monkeypatch.setattr(oracles, "log", None)
+        for m, queries in cases:
+            for x in queries:
+                m.value(x)
 
 
 class TestPseudoAffine:

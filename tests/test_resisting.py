@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hypergconv import DomainError, RangeLimitError, exp, zeta
+from hypergconv import DomainError, RangeLimitError, exp, sub_dist, zeta
 from hypergconv.hyperboloid import _tangent_unchecked
 from hypergconv.oracles import worst_chord_slope
 from hypergconv.resisting import (
@@ -140,6 +140,41 @@ class TestNonsmoothGame:
         assert len(rows[0]["x"]) == game.d + 1
 
 
+def select_by_loop(game, x):
+    """The per-piece selection loop the stacked kernel replaced: the choice,
+    its h value and the runner-up gap."""
+    best, best_val, runner = None, -np.inf, -np.inf
+    for i in game.remaining:
+        for s in (+1, -1):
+            v = sub_dist(x, game._subs[(i, s)])[0] - game.a
+            if v > best_val:
+                runner = best_val
+                best, best_val = (i, s), v
+            elif v > runner:
+                runner = v
+    return best, best_val, best_val - runner
+
+
+class TestSelection:
+    @pytest.mark.parametrize("T", [2, 16, 48])
+    @pytest.mark.parametrize("r", [2.0, 5.0])
+    def test_stacked_select_equals_loop(self, T, r):
+        for player in ("polyak", "random"):
+            game = nonsmooth_new(T, r)
+            stacked = game._select
+
+            def checked(x):
+                want = select_by_loop(game, x)
+                got = stacked(x)
+                m = game.selection_margins[-1]
+                assert (got, m["h_selected"], m["runner_up_gap"]) == want
+                return got
+
+            game._select = checked
+            play(game, player, 5)
+            assert len(game.selection_margins) == T
+
+
 class TestSmoothGame:
     def test_sandwich_against_nonsmooth_twin(self):
         rng = make_rng(12)
@@ -179,6 +214,13 @@ class TestSmoothGame:
         assert np.isnan(game.worst_sandwich(make_rng(0), 2))
         assert np.isnan(worst_chord_slope(NanOracle(), make_rng(0), game.xref,
                                           0.5, game.lam, 2))
+
+    def test_sandwich_radius_out_of_range(self):
+        # delta/2 = 1.7e-4 in dimension 128: sinh^127 underflows to zero
+        game = smooth_new(128, 2.0)
+        game.respond(game.xref)
+        with pytest.raises(RangeLimitError):
+            game.worst_sandwich(make_rng(0), 1)
 
     def test_envelope_locality(self):
         # smoothed values near x_k only depend on parts active in the

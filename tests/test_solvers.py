@@ -1,22 +1,20 @@
 import numpy as np
 import pytest
-from scipy import optimize
 
 import hypergconv as hg
-from hypergconv import base_point, dist, exp, frame_at_base, log, zeta
+from hypergconv import base_point, dist, exp, log, zeta
 from hypergconv.instances import max_of_distances_instance
 from hypergconv.oracles import fn_constant, fn_dist_point, fn_sqdist_point
 from hypergconv.sampling import make_rng
 from hypergconv.solvers import (
     CertificateError,
-    Trace,
     polyak_guarantee,
     polyak_sgd,
     regularize,
     rgd,
 )
 
-from conftest import rand_point, rand_tangent, rand_unit
+from conftest import rand_point, rand_unit
 
 
 class TestPolyak:
