@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import logging
+from itertools import product
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,10 +34,10 @@ from .hyperboloid import (
     TotallyGeodesicSub,
     _mink_x,
     _mink_x_rows,
+    _point_unchecked,
     base_point,
     dist,
     exp,
-    frame_at_base,
     gspan,
     halfspace_dist,
     log,
@@ -47,6 +48,7 @@ from .hyperboloid import (
     zeta,
 )
 from .oracles import (
+    DistToSub,
     FnOracle,
     MoreauParams,
     OracleSample,
@@ -131,7 +133,14 @@ def _game_dists(x: HPoint, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 class _GameBase:
-    """Shared state for the max-of-hyperplane-distance resisting games."""
+    """Shared state for the max-of-hyperplane-distance resisting games.
+
+    S_i^s passes through z_i^s = exp(x_ref, s a e_i), orthogonal to the
+    geodesic back to x_ref; swapping coordinates 1 and i maps S_1^s onto it.
+    The game builds only S_1^+ and S_1^- and keeps the coordinates 0 and 1
+    of each one's anchor and unit normal (see README).  S_i^s itself is built
+    once, when (i, s) is chosen, inside the part that every running max shares.
+    """
 
     def __init__(self, T: int, r: float):
         self.a, self.delta = _game_scales(T, r)
@@ -139,40 +148,42 @@ class _GameBase:
         self.d = T
         self.r = float(r)
         self.xref = base_point(self.d)
-        self.frame = frame_at_base(self.d)
-        # hyperplane through z_i^s orthogonal to the geodesic back to x_ref;
-        # its unit normal is zero off coordinates 0 and i, and row
-        # 2(i-1) + (s < 0) of _rows keeps the two nonzero ones
-        self._subs: dict[tuple[int, int], TotallyGeodesicSub] = {}
-        self._z: dict[tuple[int, int], HPoint] = {}
-        rows = []
-        for i in range(1, self.d + 1):
-            for s in (+1, -1):
-                z = exp(self.xref, self.frame[i - 1].scaled(self.a * s))
-                n = log(z, self.xref)
-                self._z[(i, s)] = z
-                S = HalfSpace(z, n.scaled(1.0 / n.norm)).boundary
-                self._subs[(i, s)] = S
-                if np.count_nonzero(S.normals) > 2:
-                    raise GeometryViolation("game normal is nonzero off coordinates 0 and i")
-                rows.append(S.normals[0, [0, i]])
-        self._rows = np.array(rows)
-        self._row_i = np.repeat(np.arange(1, self.d + 1), 2)
+        e1 = HTangent(self.xref, np.eye(1, self.d + 1, 1)[0])
+        # _pair[j] = [[z_0, z_1], [n_0, n_1]] of S_1^s, j = 0 for s = +1, 1 for -1
+        self._pair = np.zeros((2, 2, 2))
+        for j, s in enumerate((+1, -1)):
+            z = exp(self.xref, e1.scaled(self.a * s))
+            n = log(z, self.xref)
+            S = HalfSpace(z, n.scaled(1.0 / n.norm)).boundary
+            both = np.vstack([S.point, S.normals[0]])
+            if np.any(both[:, 2:]):
+                raise GeometryViolation("game hyperplane is nonzero off coordinates 0 and 1")
+            self._pair[j] = both[:, :2]
         self.remaining: list[int] = list(range(1, self.d + 1))
         self.chosen: list[tuple[int, int]] = []
+        self._parts: list[DistToSub] = []  # dist(., S_i^s) - a, one per chosen (i, s)
         self.history: list[OracleSample] = []
         self.selection_margins: list[dict] = []
         self._final = None
 
     # -- construction pieces ------------------------------------------------
 
+    def hyperplane(self, i: int, s: int) -> TotallyGeodesicSub:
+        """S_i^s: the coordinates of S_1^s moved from 1 to i."""
+        point, normal = np.zeros((2, self.d + 1))
+        (point[0], point[i]), (normal[0], normal[i]) = self._pair[int(s < 0)]
+        return TotallyGeodesicSub(point, normal)
+
+    def _choose(self, i: int, s: int) -> None:
+        self.chosen.append((i, s))
+        self.remaining.remove(i)
+        self._parts.append(fn_dist_sub(self.hyperplane(i, s), self.a))
+
     def running_max(self, k: int) -> ShiftedMax:
         """The committed function after k+1 selections (pieces 0..k)."""
-        chosen = self.chosen[:k + 1]
-        parts = [(fn_dist_sub(self._subs[key], self.a), ell * self.delta)
-                 for ell, key in enumerate(chosen)]
-        rows = [2 * i - 2 + (s < 0) for i, s in chosen]
-        return _GameMax(parts, self._rows[rows], self._row_i[rows], self.a)
+        parts = [(p, ell * self.delta) for ell, p in enumerate(self._parts[:k + 1])]
+        i, s = np.array(self.chosen[:k + 1]).T
+        return _GameMax(parts, self._pair[(s < 0).astype(int), 1], i, self.a)
 
     def _select(self, x: HPoint) -> tuple[int, int]:
         """The remaining (i, s) with the largest h = dist(x, S_i^s) - a.
@@ -180,9 +191,9 @@ class _GameBase:
         Candidates are visited with i ascending, s = +1 before -1; the first
         largest wins, and the runner-up is the largest of the others.
         """
-        first = 2 * np.array(self.remaining) - 2
-        rows = np.column_stack([first, first + 1]).ravel()
-        h = _game_dists(x, self._rows[rows], self._row_i[rows]) - self.a
+        keys = list(product(self.remaining, (+1, -1)))
+        rows = np.tile(self._pair[:, 1], (len(self.remaining), 1))
+        h = _game_dists(x, rows, np.repeat(self.remaining, 2)) - self.a
         best = int(np.argmax(h))
         best_val = float(h[best])
         runner = float(np.max(np.delete(h, best)))
@@ -190,33 +201,35 @@ class _GameBase:
             logger.warning("selected h value %.3e is negative beyond tolerance", best_val)
         self.selection_margins.append(
             {"h_selected": best_val, "runner_up_gap": best_val - runner})
-        i, negative = divmod(int(rows[best]), 2)
-        return i + 1, -1 if negative else +1
+        return keys[best]
 
     def _advance(self, x: HPoint) -> ShiftedMax:
         if len(self.chosen) >= self.T:
             raise BudgetExhausted(f"all {self.T} adversarial responses consumed")
-        i, s = self._select(x)
-        self.chosen.append((i, s))
-        self.remaining.remove(i)
+        self._choose(*self._select(x))
         return self.running_max(len(self.chosen) - 1)
 
-    def _pad(self) -> None:
-        for i in list(self.remaining):
-            self.chosen.append((i, +1))
-            self.remaining.remove(i)
+    def _smooth(self, f: ShiftedMax):
+        """The game's answer function built on a running max (the max itself)."""
+        return f
+
+    def respond(self, x: HPoint) -> OracleSample:
+        F, g = self._smooth(self._advance(x)).eval(x)
+        self.history.append(OracleSample(F, x, g))
+        return self.history[-1]
 
     def _xstar(self) -> HPoint:
         vec = np.zeros(self.d + 1)
         for (i, s) in self.chosen:
-            vec += s * self.frame[i - 1].vec
+            vec[i] = s
         return exp(self.xref, HTangent(self.xref, vec * (self.r / np.sqrt(self.d))))
 
     def finalize(self):
         """Commit to the final function; returns (oracle, minimizer, minimum)."""
         if self._final is None:
-            self._pad()
-            f = self._final_oracle()
+            for i in list(self.remaining):  # an early finalize pads with s = +1
+                self._choose(i, +1)
+            f = self._smooth(self.running_max(self.T - 1))
             xstar = self._xstar()
             fstar = -self.a
             f.minimizer = xstar
@@ -228,11 +241,11 @@ class _GameBase:
         """Measured finalize-time certificates (distances, minimum, law-of-cosines)."""
         f, xstar, fstar = self.finalize()
         fx, _ = f.eval(xstar)
-        subdists = [sub_dist_value(xstar, self._subs[key]) for key in self.chosen]
-        lawcos = []
-        for key in self.chosen:
-            b = dist(xstar, self._z[key])
-            lawcos.append(abs(np.cosh(b) - np.cosh(self.r) / np.cosh(self.a)))
+        subs = [p.S for p in self._parts]
+        subdists = [sub_dist_value(xstar, S) for S in subs]
+        # the anchor z_i^s as stored: HPoint would renormalize it
+        lawcos = [abs(np.cosh(dist(xstar, _point_unchecked(S.point)))
+                      - np.cosh(self.r) / np.cosh(self.a)) for S in subs]
         return {
             "dist_xref_xstar": dist(self.xref, xstar),
             "f_at_xstar": fx,
@@ -243,23 +256,12 @@ class _GameBase:
             "min_recorded_gap": min((s.F - fstar for s in self.history), default=np.inf),
         }
 
-    def _final_oracle(self) -> ShiftedMax:
-        """The committed function with all T pieces (the nonsmooth final f)."""
-        return self.running_max(self.T - 1)
-
     def gap_bound(self) -> float:
         raise NotImplementedError
 
 
 class NonsmoothGame(_GameBase):
     """Resisting oracle for Lipschitz g-convex optimization (budget T queries)."""
-
-    def respond(self, x: HPoint) -> OracleSample:
-        fk = self._advance(x)
-        F, g = fk.eval(x)
-        sample = OracleSample(F, x, g)
-        self.history.append(sample)
-        return sample
 
     def gap_bound(self) -> float:
         return nonsmooth_gap_bound(self.T, self.r)
@@ -274,19 +276,11 @@ class SmoothGame(_GameBase):
         self.smoothness = 1.0 / np.tanh(self.lam)
         self._params = MoreauParams(self.lam)
 
+    def _smooth(self, f: ShiftedMax):
+        return fn_moreau(f, self._params)
+
     def running_envelope(self, k: int):
-        return fn_moreau(self.running_max(k), self._params)
-
-    def respond(self, x: HPoint) -> OracleSample:
-        self._advance(x)
-        env = self.running_envelope(len(self.chosen) - 1)
-        F, g = env.eval(x)
-        sample = OracleSample(F, x, g)
-        self.history.append(sample)
-        return sample
-
-    def _final_oracle(self):
-        return fn_moreau(super()._final_oracle(), self._params)
+        return self._smooth(self.running_max(k))
 
     def worst_sandwich(self, rng: np.random.Generator, n: int) -> float:
         """Largest violation of f_k - lam <= env_k <= f_k (running max f_k, its

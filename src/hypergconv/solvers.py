@@ -1,5 +1,4 @@
-"""Reference players: Polyak-step subgradient descent, fixed-step RGD, and
-the strongly-convex regularization wrapper.
+"""Reference players: Polyak-step subgradient descent and fixed-step RGD.
 
 The Polyak step is derived from the minimal-ball geometry: knowing
 ``f(x_k) - f*`` and a certified radius ``s_k`` of a ball around ``x_k``
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hyperboloid import R_MAX, HPoint, HTangent, dist, exp, log, zeta
+from .hyperboloid import R_MAX, HPoint, exp, zeta
 from .oracles import FnOracle, OracleSample
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "Trace",
     "polyak_sgd",
     "rgd",
-    "regularize",
     "polyak_guarantee",
 ]
 
@@ -110,35 +108,3 @@ def rgd(f: FnOracle, step: float, x0: HPoint, T: int) -> Trace:
             trace.gaps.append(F - f.fmin)
         x = exp(x, g.scaled(-step))
     return trace
-
-
-class _Regularized(FnOracle):
-    """(1/sigma) f + (1/2) dist(., xref)^2: 1-strongly g-convex."""
-
-    strong_convexity = 1.0
-
-    def __init__(self, f: FnOracle, sigma: float, xref: HPoint):
-        self.f = f
-        self.sigma = float(sigma)
-        self.xref = xref
-
-    def eval(self, x):
-        F, g = self.f.eval(x)
-        d = dist(x, self.xref)
-        vec = g.vec / self.sigma - log(x, self.xref).vec
-        return F / self.sigma + 0.5 * d * d, HTangent(x, vec)
-
-    def smoothness_in(self, radius: float) -> float | None:
-        """Smoothness bound L/sigma + zeta(radius) inside B(xref, radius)."""
-        if self.f.smoothness is None:
-            return None
-        return self.f.smoothness / self.sigma + float(zeta(radius))
-
-
-def regularize(f: FnOracle, sigma: float, xref: HPoint) -> _Regularized:
-    """Reduction from g-convex to 1-strongly g-convex minimization."""
-    if sigma <= 0:
-        raise CertificateError("sigma must be positive")
-    if not f.gconvex:
-        raise CertificateError("regularize requires a g-convex oracle")
-    return _Regularized(f, sigma, xref)

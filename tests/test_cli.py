@@ -1,8 +1,12 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hypergconv
 from hypergconv import cli
 
 
@@ -119,3 +123,12 @@ def test_threads_env(tmp_path, monkeypatch):
     out = tmp_path / "st"
     assert cli.main(["sweep", "--config", write_cfg(tmp_path, sweep),
                      "--seed", "3", "--out", str(out)]) == 0
+
+
+def test_import_loads_no_mpmath():
+    # polyak-worst imports highprec (and with it mpmath) only when it runs
+    src = os.path.dirname(os.path.dirname(hypergconv.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, hypergconv.cli; print('mpmath' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from hypergconv import DomainError, RangeLimitError, exp, sub_dist, zeta
+from hypergconv import DomainError, HalfSpace, RangeLimitError, exp, frame_at_base, log, \
+    sub_dist, zeta
+from hypergconv import resisting
 from hypergconv.hyperboloid import _tangent_unchecked
 from hypergconv.oracles import worst_chord_slope
 from hypergconv.resisting import (
@@ -39,7 +41,7 @@ class TestNonsmoothSetup:
     def test_budget_error(self):
         g = nonsmooth_new(2, 1.0)
         g.respond(g.xref)
-        g.respond(exp(g.xref, g.frame[0].scaled(0.1)))
+        g.respond(exp(g.xref, frame_at_base(g.d)[0].scaled(0.1)))
         with pytest.raises(BudgetExhausted):
             g.respond(g.xref)
 
@@ -146,13 +148,50 @@ def select_by_loop(game, x):
     best, best_val, runner = None, -np.inf, -np.inf
     for i in game.remaining:
         for s in (+1, -1):
-            v = sub_dist(x, game._subs[(i, s)])[0] - game.a
+            v = sub_dist(x, game.hyperplane(i, s))[0] - game.a
             if v > best_val:
                 runner = best_val
                 best, best_val = (i, s), v
             elif v > runner:
                 runner = v
     return best, best_val, best_val - runner
+
+
+def hyperplanes_by_loop(game):
+    """The per-(i, s) construction the stored pair replaced: one exp, log and
+    HalfSpace over full vectors for each of the 2T hyperplanes."""
+    frame = frame_at_base(game.d)
+    subs = {}
+    for i in range(1, game.d + 1):
+        for s in (+1, -1):
+            z = exp(game.xref, frame[i - 1].scaled(game.a * s))
+            n = log(z, game.xref)
+            subs[(i, s)] = HalfSpace(z, n.scaled(1.0 / n.norm)).boundary
+    return subs
+
+
+class TestHyperplanePair:
+    @pytest.mark.parametrize("T", [2, 3, 16, 48, 128])
+    def test_derived_hyperplanes_equal_loop(self, T):
+        for r in (0.5, 2.0, 5.0, 19.0, 30.0):
+            game = nonsmooth_new(T, r)
+            for (i, s), want in hyperplanes_by_loop(game).items():
+                got = game.hyperplane(i, s)
+                assert got.point.tobytes() == want.point.tobytes()
+                assert got.normals.tobytes() == want.normals.tobytes()
+
+    @pytest.mark.parametrize("T", [2, 3, 16, 48])
+    def test_builds_two_hyperplanes(self, T, monkeypatch):
+        counts = dict.fromkeys(["HalfSpace", "exp", "log"], 0)
+        for name in counts:
+            def counted(*args, _f=getattr(resisting, name), _name=name, **kw):
+                counts[_name] += 1
+                return _f(*args, **kw)
+            monkeypatch.setattr(resisting, name, counted)
+        for new in (nonsmooth_new, smooth_new):
+            counts.update(dict.fromkeys(counts, 0))
+            new(T, 2.0)
+            assert counts == {"HalfSpace": 2, "exp": 2, "log": 2}
 
 
 class TestSelection:

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-import hypergconv as hg
-from hypergconv import base_point, dist, exp, log, zeta
+from hypergconv import base_point, dist, exp, zeta
 from hypergconv.instances import max_of_distances_instance
-from hypergconv.oracles import fn_constant, fn_dist_point, fn_sqdist_point
+from hypergconv.oracles import fn_dist_point, fn_sqdist_point
 from hypergconv.sampling import make_rng
 from hypergconv.solvers import (
     CertificateError,
     polyak_guarantee,
     polyak_sgd,
-    regularize,
     rgd,
 )
 
@@ -112,47 +110,3 @@ class TestRGD:
         z = rand_point(rng, 3, 1.0)
         tr = rgd(fn_sqdist_point(z), step=0.5, x0=z, T=3)
         assert all(dist(s.x, z) < 1e-12 for s in tr.samples)
-
-
-class TestRegularize:
-    def test_zero_oracle_becomes_sqdist(self, rng):
-        xref = rand_point(rng, 3, 1.0)
-        f = regularize(fn_constant(0.0), sigma=2.0, xref=xref)
-        for _ in range(20):
-            x = rand_point(rng, 3, 2.0)
-            F, g = f.eval(x)
-            assert F == pytest.approx(0.5 * dist(x, xref) ** 2, abs=1e-10)
-            assert np.allclose(g.vec, log(x, xref).scaled(-1.0).vec, atol=1e-10)
-
-    def test_minimizer_within_twice_original(self, rng):
-        xref = base_point(3)
-        for _ in range(10):
-            z = rand_point(rng, 3, 1.5)
-            f = fn_dist_point(z)
-            reg = regularize(f, sigma=0.7, xref=xref)
-            # inner minimization oracle: the regularized minimizer lies on
-            # the geodesic from xref toward z, so a fine 1-d search finds it
-            d0 = dist(xref, z)
-            ts = np.linspace(0.0, 2.0 * d0 + 1e-9, 20001)
-            vals = ts * ts / 2.0 + (d0 - ts).clip(0) / 0.7 + (ts - d0).clip(0) / 0.7
-            tmin = ts[np.argmin(vals)]
-            assert tmin <= 2.0 * d0 + 1e-6
-
-    def test_gradient_additivity_finite_difference(self, rng):
-        xref = rand_point(rng, 4, 1.0)
-        z = rand_point(rng, 4, 1.5)
-        reg = regularize(fn_dist_point(z), sigma=1.3, xref=xref)
-        for _ in range(30):
-            x = rand_point(rng, 4, 2.0)
-            if dist(x, z) < 1e-2:
-                continue
-            u = rand_unit(rng, x)
-            h = 1e-5
-            fd = (reg.value(exp(x, u.scaled(h))) - reg.value(exp(x, u.scaled(-h)))) / (2 * h)
-            an = hg.mink_inner(reg.grad(x).vec, u.vec)
-            assert fd == pytest.approx(an, rel=1e-5, abs=1e-6)
-
-    def test_strong_convexity_metadata(self, rng):
-        reg = regularize(fn_constant(1.0), 1.0, base_point(2))
-        assert reg.strong_convexity == 1.0
-        assert reg.smoothness_in(2.0) == pytest.approx(0.0 / 1.0 + float(zeta(2.0)))
