@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
+from scipy import spatial, special
 
 from .hyperboloid import DomainError, HPoint, HTangent, base_point
 from .sampling import ball_radius_sampler, make_rng
@@ -124,32 +124,86 @@ def _packing_coords(cfg: CutConfig, rng: np.random.Generator) -> np.ndarray:
         dirs = rng.standard_normal((batch, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         pts = np.column_stack([np.cosh(ts), np.sinh(ts)[:, None] * dirs])
-        # -<p, a> = p0 a0 - p.a ; conflict when any -<p,a> < cosh(2 eps r)
         n_old = n_acc
-        if n_old:
-            gram = pts[:, 0:1] @ buf[:n_old, 0:1].T - pts[:, 1:] @ buf[:n_old, 1:].T
-            old_conflict = (gram < min_cosh).any(axis=1)
-        else:
-            old_conflict = np.zeros(batch, dtype=bool)
-        for i in range(batch):
-            conflict = bool(old_conflict[i])
-            if not conflict and n_acc > n_old:
-                fm = buf[n_old:n_acc]
-                q = pts[i, 0] * fm[:, 0] - fm[:, 1:] @ pts[i, 1:]
-                conflict = bool((q < min_cosh).any())
-            if conflict:
+        old_conflict = _old_conflicts(pts, buf[:n_old], min_cosh)
+        prev = -1
+        # the greedy visits only the proposals free of old conflicts; the ones
+        # between are rejections, counted in bulk.  The limit holds still until
+        # the next acceptance, so it is checked there and at the batch end.
+        for i in np.flatnonzero(~old_conflict).tolist():
+            fails += i - prev - 1
+            prev = i
+            if fails >= N_FAIL_FACTOR * max(1, n_acc):
+                break
+            # -<p, a> = p0 a0 - p.a ; conflict when any -<p,a> < cosh(2 eps r)
+            fm = buf[n_old:n_acc]
+            q = pts[i, 0] * fm[:, 0] - fm[:, 1:] @ pts[i, 1:]
+            if (q < min_cosh).any():
                 fails += 1
-                if fails >= N_FAIL_FACTOR * max(1, n_acc):
-                    stop = True
-                    break
             else:
                 buf[n_acc] = pts[i]
                 n_acc += 1
                 fails = 0
                 if n_acc >= cfg.max_centers:
-                    stop = True
                     break
+        else:
+            fails += batch - 1 - prev
+        stop = n_acc >= cfg.max_centers or fails >= N_FAIL_FACTOR * max(1, n_acc)
     return buf[:n_acc].copy() if n_acc else base_point(d).coords[None, :]
+
+
+def _poincare(pts: np.ndarray) -> np.ndarray:
+    """Poincare-ball coordinates u = p_s / (1 + p0) of hyperboloid rows."""
+    return pts[:, 1:] / (1.0 + pts[:, :1])
+
+
+def _exact_conflict(p: np.ndarray, a: np.ndarray, min_cosh: float) -> np.ndarray:
+    """The packing's test, row by row: -<p, a> = p0 a0 - p.a < cosh(2 eps r)."""
+    # a stacked matmul rounds p.a as the batch's dense Gram did in all but
+    # ~0.2% of rows (einsum: ~25%), and only a q within an ulp of the bound
+    # could then flip
+    return p[:, 0] * a[:, 0] - (p[:, None, 1:] @ a[:, 1:, None])[:, 0, 0] < min_cosh
+
+
+def _conflict_radius(p0: np.ndarray, min_cosh: float, d: int) -> np.ndarray:
+    """Poincare-ball radius around each proposal that holds every old conflict.
+
+    Every center a whose exact test against the proposal p fires, rounding
+    of the test and of both points included, lies within this distance of p
+    in Poincare coordinates (see README, "The cut-game packing").
+    """
+    # eta bounds the test's rounding relative to p0 a0, and each stored
+    # point's defect |p0^2 - 1 - |p_s|^2| relative to p0^2, with room to spare
+    eta = 32.0 * (d + 1) * 2.0 ** -53
+    z = 1.0 / (1.0 + p0)
+    b = z + eta
+    m = b + (1.0 + eta) ** 2 * (min_cosh - 1.0) * z
+    w = m + np.sqrt(m * m - b * b + (1.0 + eta) ** 2 * eta)  # bound on 1 / (1 + a0)
+    return (1.0 + 1e-3) * np.sqrt(2.0 * (min_cosh - 1.0) * z * w + eta)
+
+
+def _old_conflicts(pts: np.ndarray, old: np.ndarray, min_cosh: float) -> np.ndarray:
+    """Which proposals fail the exact test against some old center.
+
+    A KD-tree over the old centers' Poincare coordinates only chooses the
+    pairs that get the test: the nearest center of every proposal, then, for
+    the proposals it does not settle, every center within the conservative
+    radius of ``_conflict_radius``.
+    """
+    if not len(old):
+        return np.zeros(len(pts), dtype=bool)
+    u = _poincare(pts)
+    tree = spatial.cKDTree(_poincare(old))
+    nearest = tree.query(u, k=1)[1]
+    conflict = _exact_conflict(pts, old[nearest], min_cosh)
+    rest = np.flatnonzero(~conflict)
+    radius = _conflict_radius(pts[rest, 0], min_cosh, pts.shape[1] - 1)
+    near = tree.query_ball_point(u[rest], radius)
+    rows = np.repeat(rest, [len(c) for c in near])
+    if rows.size:
+        cols = np.concatenate(near).astype(np.intp)
+        conflict[rows[_exact_conflict(pts[rows], old[cols], min_cosh)]] = True
+    return conflict
 
 
 @dataclass

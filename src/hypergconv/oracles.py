@@ -233,8 +233,8 @@ class ShiftedMax(FnOracle):
     def eval_detailed(self, x) -> MaxInfo:
         vals = self._part_values(x)
         best = int(np.argmax(vals))
-        ties = tuple(i for i, v in enumerate(vals)
-                     if v >= vals[best] - TIE_TOL and i != best)
+        near = np.flatnonzero(vals >= vals[best] - TIE_TOL).tolist()
+        ties = tuple(i for i in near if i != best)
         if ties and self.warn_on_ties:
             logger.warning("max oracle tie at value %.17g between parts %s",
                            vals[best], (best,) + ties)

@@ -112,12 +112,18 @@ class _GameMax(ShiftedMax):
     Every game hyperplane normal is zero off coordinates 0 and i, so the
     part values come from one ``_mink_x_rows`` call over the stored pairs
     ``rows[l] = (n_0, n_i)``, bit for bit the values of the parts themselves.
+    Every part is a ``DistToSub``, so the max is g-convex and 1-Lipschitz.
     """
 
-    def __init__(self, parts, rows: np.ndarray, idx: np.ndarray, a: float):
-        super().__init__(parts)
-        self._rows, self._idx, self._a = rows, idx, a
-        self._cs = np.array([c for _, c in self.parts])
+    gconvex = True
+    lipschitz = 1.0
+    strong_convexity = 0.0
+    warn_on_ties = True
+
+    def __init__(self, parts, offsets: np.ndarray, rows: np.ndarray, idx: np.ndarray,
+                 a: float):
+        self.parts = parts
+        self._cs, self._rows, self._idx, self._a = offsets, rows, idx, a
 
     def _part_values(self, x):
         # the parts' own rule: -a on the hyperplane (DistToSub.value)
@@ -181,9 +187,10 @@ class _GameBase:
 
     def running_max(self, k: int) -> ShiftedMax:
         """The committed function after k+1 selections (pieces 0..k)."""
-        parts = [(p, ell * self.delta) for ell, p in enumerate(self._parts[:k + 1])]
+        offsets = np.arange(k + 1) * self.delta
+        parts = list(zip(self._parts[:k + 1], offsets.tolist()))
         i, s = np.array(self.chosen[:k + 1]).T
-        return _GameMax(parts, self._pair[(s < 0).astype(int), 1], i, self.a)
+        return _GameMax(parts, offsets, self._pair[(s < 0).astype(int), 1], i, self.a)
 
     def _select(self, x: HPoint) -> tuple[int, int]:
         """The remaining (i, s) with the largest h = dist(x, S_i^s) - a.

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import spatial
 
 import hypergconv as hg
 from hypergconv import DomainError, base_point
 from hypergconv.cutting import (
+    N_FAIL_FACTOR,
     AdversaryExhausted,
     CutConfig,
     CutGameState,
@@ -18,7 +21,13 @@ from hypergconv.cutting import (
     write_summary_csv,
     write_transcript_json,
 )
-from hypergconv.sampling import make_rng
+from hypergconv.cutting import (
+    _conflict_radius,
+    _exact_conflict,
+    _packing_coords,
+    _poincare,
+)
+from hypergconv.sampling import ball_radius_sampler, make_rng
 
 
 def pairwise_min_cosh(points):
@@ -66,6 +75,115 @@ class TestPacking:
         b = packing_build(cfg)
         assert len(a) == len(b)
         assert all(np.array_equal(p.coords, q.coords) for p, q in zip(a, b))
+
+
+def dense_packing_coords(cfg, rng):
+    """The packing as it was before the KD-tree filter: every proposal of a
+    batch against every old center through one dense Gram (the reference)."""
+    d = cfg.d
+    eff_r = cfg.r - cfg.ball_radius
+    if eff_r <= 0:
+        return base_point(d).coords[None, :]
+    min_cosh = np.cosh(2.0 * cfg.ball_radius)
+    sampler = ball_radius_sampler(d, eff_r)
+    buf = np.empty((cfg.max_centers, d + 1))
+    n_acc = 0
+    fails = 0
+    batch = 4096
+    stop = False
+    while not stop:
+        ts = sampler(rng, batch)
+        dirs = rng.standard_normal((batch, d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        pts = np.column_stack([np.cosh(ts), np.sinh(ts)[:, None] * dirs])
+        # -<p, a> = p0 a0 - p.a ; conflict when any -<p,a> < cosh(2 eps r)
+        n_old = n_acc
+        if n_old:
+            gram = pts[:, 0:1] @ buf[:n_old, 0:1].T - pts[:, 1:] @ buf[:n_old, 1:].T
+            old_conflict = (gram < min_cosh).any(axis=1)
+        else:
+            old_conflict = np.zeros(batch, dtype=bool)
+        for i in range(batch):
+            conflict = bool(old_conflict[i])
+            if not conflict and n_acc > n_old:
+                fm = buf[n_old:n_acc]
+                q = pts[i, 0] * fm[:, 0] - fm[:, 1:] @ pts[i, 1:]
+                conflict = bool((q < min_cosh).any())
+            if conflict:
+                fails += 1
+                if fails >= N_FAIL_FACTOR * max(1, n_acc):
+                    stop = True
+                    break
+            else:
+                buf[n_acc] = pts[i]
+                n_acc += 1
+                fails = 0
+                if n_acc >= cfg.max_centers:
+                    stop = True
+                    break
+    return buf[:n_acc].copy() if n_acc else base_point(d).coords[None, :]
+
+
+class TestPackingIdentity:
+    # The capped configs fill in their first batch, so they check the greedy
+    # and its RNG draws; r=4.1 runs 20+ batches against the tree.  The others
+    # saturate, and their fail-count stop decides the packing: r=2 stops
+    # across batches, and an off-by-one in the bulk count changes r=0.6
+    # (within a batch) and r=2, eps=0.15 (at the batch end).
+    @pytest.mark.parametrize("d, r, eps, max_centers, seed", [
+        *[(3, 4.0, 0.12, 256, s) for s in range(4)],
+        (4, 6.0, None, 512, 0),
+        (3, 4.1, 0.12, 2048, 0),
+        (3, 2.0, 0.12, 2048, 0),
+        (3, 2.0, 0.12, 2048, 1),
+        (3, 0.6, 0.3, 2048, 5),
+        (3, 2.0, 0.15, 2048, 0),
+    ])
+    def test_equals_dense_gram(self, d, r, eps, max_centers, seed):
+        cfg = CutConfig(d=d, r=r, eps=eps, seed=seed, max_centers=max_centers)
+        got = _packing_coords(cfg, make_rng(seed))
+        assert got.tobytes() == dense_packing_coords(cfg, make_rng(seed)).tobytes()
+
+
+@st.composite
+def packing_pairs(draw):
+    """Proposal p and center a stored as the packing stores them, at radius
+    <= 19 in H^d, d in [3, 8], with 2 eps r in (0, 2].  Their distance is a
+    multiple of 2 eps r, just below it in half the cases; a sits anywhere
+    the triangle inequality allows, the radially inward end included."""
+    d = draw(st.integers(3, 8))
+    sep = draw(st.floats(0.0, 2.0, exclude_min=True))
+    t_p = draw(st.floats(0.0, 19.0))
+    D = sep * draw(st.one_of(st.floats(0.0, 1.5),
+                             st.floats(1.0 - 1e-6, 1.0, exclude_max=True)))
+    lo, hi = abs(t_p - D), min(t_p + D, 19.0)
+    t_a = lo + draw(st.floats(0.0, 1.0)) * max(hi - lo, 0.0)
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    e, w = rng.standard_normal((2, d))
+    e /= np.linalg.norm(e)
+    w -= (w @ e) * e
+    w /= np.linalg.norm(w)
+    den = np.sinh(t_p) * np.sinh(t_a)
+    c = 1.0 if den == 0.0 else np.clip(
+        (np.cosh(t_p) * np.cosh(t_a) - np.cosh(D)) / den, -1.0, 1.0)
+    f = c * e + np.sqrt(1.0 - c * c) * w
+    f /= np.linalg.norm(f)
+    p = np.concatenate([[np.cosh(t_p)], np.sinh(t_p) * e])
+    a = np.concatenate([[np.cosh(t_a)], np.sinh(t_a) * f])
+    return p[None, :], a[None, :], np.cosh(sep)
+
+
+class TestConflictFilter:
+    # the tree only chooses which pairs get the exact test, so it must never
+    # miss one: every pair the exact test flags lies inside the query ball
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(packing_pairs())
+    def test_ball_query_holds_every_conflict(self, case):
+        p, a, min_cosh = case
+        if _exact_conflict(p, a, min_cosh)[0]:
+            radius = _conflict_radius(p[:, 0], min_cosh, p.shape[1] - 1)[0]
+            tree = spatial.cKDTree(_poincare(a))
+            assert tree.query_ball_point(_poincare(p)[0], radius) == [0]
 
 
 class TestVolume:

@@ -214,6 +214,49 @@ class TestExpLog:
                 dist(x, y) ** 2, abs=1e-9)
 
 
+@st.composite
+def point_and_tangent(draw, radius, length):
+    """A point at radius <= ``radius`` from e_0 in H^d, d in [2, 10], and a
+    tangent vector there of norm <= ``length``; hypothesis picks both sizes,
+    so the range ends are drawn, not only the volume-weighted bulk."""
+    d = draw(st.integers(2, 10))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    x0 = base_point(d)
+    x = exp(x0, rand_unit(rng, x0).scaled(draw(st.floats(0.0, radius))))
+    return x, rand_unit(rng, x).scaled(draw(st.floats(0.0, length))), rng
+
+
+class TestCertifiedRanges:
+    # the README's float64-certified ranges and tolerances, as stated there
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(point_and_tangent(1.0, 8.5))
+    def test_log_exp_roundtrip(self, case):
+        x, v, _ = case
+        diff = log(x, exp(x, v)).vec - v.vec
+        assert np.sqrt(abs(mink_inner(diff, diff))) < 1e-8
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(point_and_tangent(1.0, 0.0), st.floats(0.0, 9.5))
+    def test_exp_log_roundtrip(self, case, rho):
+        x, _, rng = case
+        x0 = base_point(x.d)
+        y = exp(x0, rand_unit(rng, x0).scaled(rho))
+        assert dist(exp(x, log(x, y)), y) < 1e-7
+
+    # ptransport drifts from isometry like e^(2|v|): about 5e-10 at |v| = 5,
+    # 2e-7 at 7 and 1e-5 at 8.5, far above the eps cosh(rho)^2 storage floor.
+    # The stated 1e-9 holds only up to |v| ~ 5; the range stays as stated.
+    @pytest.mark.xfail(strict=True, reason="ptransport loses isometry beyond |v| ~ 5")
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(point_and_tangent(1.0, 8.5))
+    def test_transport_isometry(self, case):
+        x, v, rng = case
+        y = exp(x, v)
+        u, w = rand_tangent(rng, x, 2.0), rand_tangent(rng, x, 2.0)
+        lhs = mink_inner(ptransport(x, y, u).vec, ptransport(x, y, w).vec)
+        assert abs(lhs - mink_inner(u.vec, w.vec)) <= 1e-9
+
+
 class TestTransport:
     def test_identity_at_same_point(self, rng):
         x = rand_point(rng, 3)
