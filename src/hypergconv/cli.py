@@ -54,7 +54,8 @@ def _row(kind, case, measured, bound, passed, runtime):
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: each returns (rows, transcript)
+# experiment runners: each returns (rows, transcript).  np.max/np.min carry a
+# NaN through to a failing row; the builtins drop it (max(0.0, nan) == 0.0).
 # ---------------------------------------------------------------------------
 
 
@@ -68,7 +69,7 @@ def _game_rows(kind, game_factory, players, seed, extra_checks=None):
         cert = game.certificate()
         bound = game.gap_bound()
         min_gap = cert["min_recorded_gap"]
-        replay = max(abs(f.value(s.x) - s.F) for s in game.history)
+        replay = float(np.max([abs(f.value(s.x) - s.F) for s in game.history]))
         cert_ok = (abs(cert["dist_xref_xstar"] - game.r) <= 1e-9
                    and abs(cert["f_at_xstar"] - fstar) <= 1e-8
                    and cert["max_subdist_xstar"] <= 1e-8
@@ -154,7 +155,10 @@ def run_cut_game(params, seed):
     eps = params.get("eps", 0.1)
     games = int(params.get("games", 5))
     max_rounds = int(params.get("max_rounds", 40))
+    players = {"random": cutting.random_ball_player, "center": cutting.repeat_center_player}
     player_name = params.get("player", "random")
+    if player_name not in players:
+        raise ValueError(f"unknown cut-game player {player_name!r}")
     rows, games_t = [], []
     total_rounds = quarter_ok_rounds = 0
     all_consistent = all_replay = True
@@ -162,9 +166,7 @@ def run_cut_game(params, seed):
         t0 = time.perf_counter()
         cfg = cutting.CutConfig(d=d, r=r, eps=eps, seed=seed + i,
                                 max_rounds=max_rounds)
-        player = (cutting.random_ball_player(cfg) if player_name == "random"
-                  else cutting.repeat_center_player(cfg))
-        tr = cutting.play_game(cfg, player)
+        tr = cutting.play_game(cfg, players[player_name](cfg))
         dt = time.perf_counter() - t0
         consistent = tr.state.verify_consistency()
         replay = tr.replay_ok() if tr.xstar is not None else tr.exhausted
@@ -199,7 +201,7 @@ def run_interp(params, seed):
         data, lower, upper = interpolation.obstruction_certificate(float(theta))
         rep = interpolation.check_necessary(data)
         ok &= rep.ok and lower > upper
-        worst_margin = min(worst_margin, lower - upper)
+        worst_margin = float(np.minimum(worst_margin, lower - upper))
     rows.append(_row("interp", "obstruction-grid", worst_margin, 0.0, ok,
                      time.perf_counter() - t0))
 
@@ -216,9 +218,10 @@ def run_interp(params, seed):
     data = interpolation.InterpData(items, mu=1.0)
     f = interpolation.construct_sufficient(data)
     applicable = not isinstance(f, interpolation.NotApplicable)
-    max_err = max(abs(f.value(s.x) - s.F) for s in items) if applicable else np.inf
-    slack = min(subgradient_gap(f, s.x, random_point_in_ball(rng, x0, 2.0))
-                for s in items for _ in range(20)) if applicable else -np.inf
+    max_err = float(np.max([abs(f.value(s.x) - s.F) for s in items])) \
+        if applicable else np.inf
+    slack = float(np.min([subgradient_gap(f, s.x, random_point_in_ball(rng, x0, 2.0))
+                          for s in items for _ in range(20)])) if applicable else -np.inf
     rows.append(_row("interp", "construct-roundtrip", max_err, 1e-9,
                      applicable and max_err <= 1e-9 and slack >= -1e-8,
                      time.perf_counter() - t0))
@@ -233,7 +236,7 @@ def run_interp(params, seed):
             continue
         fmin, val = interpolation.minimal_function(rng.uniform(-1, 1), y, g, x)
         target = fmin.value(y) + _mink_x(g.vec, hlog(y, x).vec)
-        worst = max(worst, abs(val - target))
+        worst = float(np.maximum(worst, abs(val - target)))
     rows.append(_row("interp", "minimal-values", worst, 1e-8, worst <= 1e-8,
                      time.perf_counter() - t0))
     return rows, {"rows": len(rows)}
@@ -262,8 +265,8 @@ def run_zoo_validate(params, seed):
         for _ in range(n):
             a = random_point_in_ball(rng, x0, 2.0)
             b = random_point_in_ball(rng, x0, 2.0)
-            worst = min(worst, subgradient_gap(o, a, b),
-                        midpoint_convexity_gap(o, a, b))
+            worst = float(np.min([worst, subgradient_gap(o, a, b),
+                                  midpoint_convexity_gap(o, a, b)]))
             if o.lipschitz is not None:
                 lip_ok &= o.grad(a).norm <= o.lipschitz + 1e-9
         rows.append(_row("zoo-validate", f"gconvex-{name}", worst, -1e-8,
@@ -277,7 +280,7 @@ def run_zoo_validate(params, seed):
         p = random_point_in_ball(rng, x0, 2.0)
         fv = dist(p, z)
         ev = env.value(p)
-        worst = max(worst, ev - fv, fv - lam - ev)
+        worst = float(np.max([worst, ev - fv, fv - lam - ev]))
     rows.append(_row("zoo-validate", "moreau-sandwich", worst, 1e-9,
                      worst <= 1e-9, time.perf_counter() - t0))
 

@@ -231,16 +231,17 @@ class CutGameState:
 
     def verify_consistency(self) -> bool:
         """Exact re-check: every survivor respects every recorded half-space."""
-        sh = np.sinh(self.cfg.ball_radius)
-        for rec in self.history[:self.round]:
-            q = _form(self.candidates, rec.g)
-            if not bool(np.all(q < -sh)):
-                return False
-        return True
+        return _respects(self.candidates, self.history[:self.round], self.cfg)
 
 
 def _form(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return mat[:, 1:] @ vec[1:] - mat[:, 0] * vec[0]
+
+
+def _respects(pts: np.ndarray, history: list[RoundRecord], cfg: CutConfig) -> bool:
+    """<p, g> < -sinh(eps r) for every row p of pts and every recorded cut g."""
+    sh = np.sinh(cfg.ball_radius)
+    return all(np.all(_form(pts, rec.g) < -sh) for rec in history)
 
 
 def new_game(cfg: CutConfig) -> CutGameState:
@@ -364,13 +365,8 @@ class GameTranscript:
 
     def replay_ok(self) -> bool:
         """Exact consistency of the selected target with the verified history."""
-        if self.xstar is None:
-            return False
-        sh = np.sinh(self.cfg.ball_radius)
-        for rec in self.state.history[:self.rounds_survived]:
-            if not (_form(self.xstar[None, :], rec.g)[0] < -sh):
-                return False
-        return True
+        return self.xstar is not None and _respects(
+            self.xstar[None, :], self.state.history[:self.rounds_survived], self.cfg)
 
 
 def play_game(cfg: CutConfig, player=None) -> GameTranscript:

@@ -598,12 +598,9 @@ class HalfSpace:
         """Signed ambient margin <x, normal>; nonnegative inside."""
         return _mink_x(x.coords, self.normal.vec)
 
-    def membership(self, x: HPoint, tol: float = 1e-12) -> bool:
-        return self.margin(x) >= -tol
-
 
 def halfspace_dist(x: HPoint, L: HalfSpace) -> float:
     """Distance to a half-space: zero inside, distance to the boundary outside."""
-    if L.membership(x):
+    if L.margin(x) >= -1e-12:
         return 0.0
     return sub_dist_value(x, L.boundary)

@@ -31,8 +31,4 @@ def max_of_distances_instance(rng: np.random.Generator, center: HPoint,
             rho = rng.uniform(*radius)
             z = exp(center, u.scaled(sign * rho))
             parts.append((fn_dist_point(z), rho))
-    f = fn_shifted_max(parts)
-    f.minimizer = center
-    f.fmin = 0.0
-    f.lipschitz = 1.0
-    return f, center, 0.0
+    return fn_shifted_max(parts), center, 0.0

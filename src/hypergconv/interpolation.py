@@ -134,8 +134,6 @@ def construct_sufficient(data: InterpData) -> FnOracle | NotApplicable:
             f"necessary inequalities fail at pair {rep.worst_pair} (slack {rep.slack})")
     f = ShiftedMax([(_part_oracle(s, data.mu), 0.0) for s in data.items],
                    warn_on_ties=False)
-    f.gconvex = True
-    f.strong_convexity = data.mu / 2.0
     for i, s in enumerate(data.items):
         v = f.value(s.x)
         if abs(v - s.F) > 1e-9 * max(1.0, abs(s.F)):
@@ -216,7 +214,6 @@ def minimal_function(F: float, y: HPoint, g: HTangent, x: HPoint
     if a_perp > 0:
         parts.append((a_perp, fn_dist_sub(line, 0.0)))
     f = fn_sum(parts, gconvex=True)
-    f.lipschitz = g.norm
     value = f.value(x)
     target = F + align
     if abs(value - target) > 1e-8 * max(1.0, abs(target)):

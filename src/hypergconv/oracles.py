@@ -2,7 +2,8 @@
 
 Every oracle returns ``(value, subgradient)`` pairs; subgradients satisfy
 ``f(y) >= f(x) + <g, log_x(y)>`` whenever the oracle is flagged g-convex.
-Oracles are immutable after construction and safe to evaluate concurrently.
+Oracles state their metadata when built (see README, "Oracle metadata") and
+are immutable after construction and safe to evaluate concurrently.
 """
 
 from __future__ import annotations
@@ -89,8 +90,6 @@ class FnOracle:
     gconvex: bool = True
     lipschitz: float | None = None
     smoothness: float | None = None
-    strong_convexity: float = 0.0
-    minimizer: HPoint | None = None
     fmin: float | None = None
 
     def eval(self, x: HPoint) -> tuple[float, HTangent]:
@@ -117,6 +116,7 @@ class _Constant(FnOracle):
         self.c = float(c)
         self.lipschitz = 0.0
         self.smoothness = 0.0
+        self.fmin = self.c
 
     def eval(self, x):
         return self.c, HTangent(x, np.zeros_like(x.coords))
@@ -139,6 +139,7 @@ class DistToSub(FnOracle):
     def __init__(self, S: TotallyGeodesicSub, shift: float = 0.0):
         self.S = S
         self.shift = float(shift)
+        self.fmin = -self.shift  # the distance vanishes on S
 
     def eval(self, x):
         d, foot = sub_dist(x, self.S)
@@ -173,21 +174,16 @@ def fn_dist_sub(S: TotallyGeodesicSub, shift: float = 0.0) -> DistToSub:
 
 def fn_dist_point(z: HPoint) -> DistToSub:
     """Distance to a point (a 0-dimensional totally geodesic submanifold)."""
-    o = DistToSub(gspan([z], []), 0.0)
-    o.minimizer = z
-    o.fmin = 0.0
-    return o
+    return DistToSub(gspan([z], []), 0.0)
 
 
 class SqDistToPoint(FnOracle):
     """f(x) = dist(x, z)^2 / 2; gradient -log_x(z); 1-strongly g-convex."""
 
-    strong_convexity = 1.0
+    fmin = 0.0
 
     def __init__(self, z: HPoint):
         self.z = z
-        self.minimizer = z
-        self.fmin = 0.0
 
     def eval(self, x):
         d = dist(x, self.z)
@@ -224,7 +220,6 @@ class ShiftedMax(FnOracle):
         self.gconvex = all(o.gconvex for o, _ in self.parts)
         lips = [o.lipschitz for o, _ in self.parts]
         self.lipschitz = max(lips) if all(l is not None for l in lips) else None
-        self.strong_convexity = min(o.strong_convexity for o, _ in self.parts)
 
     def _part_values(self, x) -> np.ndarray:
         """The shifted part values f_i(x) - offset_i."""
@@ -336,7 +331,7 @@ class MoreauEnvelope(FnOracle):
 
     Requires f g-convex and 1-Lipschitz; the envelope is then g-convex,
     1-Lipschitz and 1/tanh(lam)-smooth with gradient -(1/lam) log_x(y*).
-    Shares minimizer and minimum value with f.  f must be a max of shifted
+    Shares its minimum value with f.  f must be a max of shifted
     distances (``max_sub_pieces``); see README, "The Moreau prox".
     """
 
@@ -350,10 +345,8 @@ class MoreauEnvelope(FnOracle):
             raise DomainError("Moreau envelope requires a max of shifted distances")
         self.f = f
         self.lam = params.lam
-        self.gconvex = True
         self.lipschitz = min(1.0, f.lipschitz)
         self.smoothness = 1.0 / np.tanh(params.lam)
-        self.minimizer = f.minimizer
         self.fmin = f.fmin
         self._pieces = _StackedPieces(pieces)
 

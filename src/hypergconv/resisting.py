@@ -113,22 +113,22 @@ class _GameMax(ShiftedMax):
     part values come from one ``_mink_x_rows`` call over the stored pairs
     ``rows[l] = (n_0, n_i)``, bit for bit the values of the parts themselves.
     Every part is a ``DistToSub``, so the max is g-convex and 1-Lipschitz.
+    Its minimum is -a: part 0 is at least -a everywhere, and at x*, which lies
+    on every chosen hyperplane, each part is at most -a.
     """
 
-    gconvex = True
     lipschitz = 1.0
-    strong_convexity = 0.0
     warn_on_ties = True
 
     def __init__(self, parts, offsets: np.ndarray, rows: np.ndarray, idx: np.ndarray,
                  a: float):
         self.parts = parts
-        self._cs, self._rows, self._idx, self._a = offsets, rows, idx, a
+        self._cs, self._rows, self._idx, self.fmin = offsets, rows, idx, -a
 
     def _part_values(self, x):
         # the parts' own rule: -a on the hyperplane (DistToSub.value)
         d = _game_dists(x, self._rows, self._idx)
-        return np.where(d <= 1e-14, -self._a, d - self._a) - self._cs
+        return np.where(d <= 1e-14, self.fmin, d + self.fmin) - self._cs
 
 
 def _game_dists(x: HPoint, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -237,11 +237,7 @@ class _GameBase:
             for i in list(self.remaining):  # an early finalize pads with s = +1
                 self._choose(i, +1)
             f = self._smooth(self.running_max(self.T - 1))
-            xstar = self._xstar()
-            fstar = -self.a
-            f.minimizer = xstar
-            f.fmin = fstar
-            self._final = (f, xstar, fstar)
+            self._final = (f, self._xstar(), f.fmin)
         return self._final
 
     def certificate(self) -> dict:
@@ -257,10 +253,11 @@ class _GameBase:
             "dist_xref_xstar": dist(self.xref, xstar),
             "f_at_xstar": fx,
             "fstar": fstar,
-            "max_subdist_xstar": max(subdists),
-            "max_lawcos_residual": max(lawcos),
+            "max_subdist_xstar": float(np.max(subdists)),
+            "max_lawcos_residual": float(np.max(lawcos)),
             "gap_bound": self.gap_bound(),
-            "min_recorded_gap": min((s.F - fstar for s in self.history), default=np.inf),
+            "min_recorded_gap": float(np.min([s.F - fstar for s in self.history],
+                                             initial=np.inf)),
         }
 
     def gap_bound(self) -> float:
@@ -339,7 +336,6 @@ class GameOracle(FnOracle):
 
     def __init__(self, game: _GameBase):
         self.game = game
-        self.gconvex = True
         self.lipschitz = 1.0
         self.fmin = -game.a
         self.smoothness = getattr(game, "smoothness", None)
@@ -536,9 +532,7 @@ class WorstFunctionOracle(FnOracle):
 
     def __init__(self, inst: WorstInstance):
         self.inst = inst
-        self.gconvex = True
         self.lipschitz = inst.M
-        self.minimizer = inst.xstar
         self.fmin = 0.0
         self._costh = np.cos(inst.theta)
 
@@ -556,7 +550,7 @@ class WorstFunctionOracle(FnOracle):
                 return k
         return None
 
-    def eval_detailed(self, x: HPoint):
+    def eval(self, x):
         inst = self.inst
         F, hs = self._value_and_term(x)
         margins = np.array([L.margin(x) for L in inst.halfspaces])
@@ -566,7 +560,7 @@ class WorstFunctionOracle(FnOracle):
             if dist(x, yk) <= MEMBERSHIP_TOL:
                 if k <= inst.d - 2:
                     g = _rebase(x, inst.gtilde(k))
-                    return F, g, {"branch": "ladder", "k": k, "a2_ok": True}
+                    return F, g
                 break
 
         k = self._span_index(x)
@@ -583,7 +577,7 @@ class WorstFunctionOracle(FnOracle):
                 pn = ptransport(inst.halfspaces[k].anchor, x, inst.halfspaces[k].normal)
                 ghat = -(sin_ty / self._costh) * pn.vec
                 g = _rebase(x, ghat - lg.vec / dyx)
-                return F, g, {"branch": "span", "k": k, "a2_ok": True}
+                return F, g
 
         # fallback: max-rule subgradient of the half-space term plus the
         # distance gradient
@@ -600,11 +594,7 @@ class WorstFunctionOracle(FnOracle):
         if not inside:
             logger.warning("query outside a committed half-space "
                            "(min margin %.3e): hiding guarantee void", margins.min())
-        return F, _rebase(x, vec), {"branch": "fallback", "k": None, "a2_ok": inside}
-
-    def eval(self, x):
-        F, g, _ = self.eval_detailed(x)
-        return F, g
+        return F, _rebase(x, vec)
 
 
 def worst_oracle(inst: WorstInstance) -> WorstFunctionOracle:
@@ -635,12 +625,14 @@ def worst_trajectory_report(eps: float, r: float) -> WorstReplayReport:
                        s0=inst.r, T=inst.T)
     return WorstReplayReport(
         d=inst.d, M=inst.M, gaps=trace.gaps, radii=inst.radii,
-        max_ladder_dist=max(dist(s.x, y) for s, y in zip(trace.samples, inst.ladder)),
-        max_radius_err=max(abs(s - rk) for s, rk in zip(trace.radii, inst.radii)),
-        max_step_err=max(abs(e - dk) for e, dk
-                         in zip(trace.step_lengths[:inst.d - 1], inst.deltas)),
-        max_gap_err=max(abs(g - rk) for g, rk in zip(trace.gaps, inst.radii)),
-        min_gap=min(trace.gaps),
+        max_ladder_dist=float(np.max([dist(s.x, y)
+                                      for s, y in zip(trace.samples, inst.ladder)])),
+        max_radius_err=float(np.max([abs(s - rk)
+                                     for s, rk in zip(trace.radii, inst.radii)])),
+        max_step_err=float(np.max([abs(e - dk) for e, dk
+                                   in zip(trace.step_lengths[:inst.d - 1], inst.deltas)])),
+        max_gap_err=float(np.max([abs(g - rk) for g, rk in zip(trace.gaps, inst.radii)])),
+        min_gap=float(np.min(trace.gaps)),
     )
 
 

@@ -46,12 +46,6 @@ class Trace:
     radii: list[float] = field(default_factory=list)
     step_lengths: list[float] = field(default_factory=list)
 
-    def queries(self) -> list[HPoint]:
-        return [s.x for s in self.samples]
-
-    def min_gap(self) -> float:
-        return min(self.gaps) if self.gaps else np.inf
-
     def __len__(self) -> int:
         return len(self.samples)
 

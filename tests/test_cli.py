@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import hypergconv
-from hypergconv import cli
+from hypergconv import cli, oracles
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -48,6 +48,22 @@ def test_polyak_worst_refuses_highprec_key(tmp_path):
     cfg = write_cfg(tmp_path, {"eps": 0.17, "r": 8.0, "highprec": True})
     with pytest.raises(ValueError, match="highprec"):
         cli.main(["polyak-worst", "--config", cfg, "--out", str(tmp_path / "o")])
+
+
+def test_nan_envelope_value_fails_sandwich(monkeypatch):
+    # np.max carries the NaN into the row; the builtin max would drop it
+    monkeypatch.setattr(oracles.MoreauEnvelope, "value", lambda self, x: float("nan"))
+    rows, _ = cli.run_zoo_validate({"d": 3, "samples": 5}, 0)
+    row = next(r for r in rows if r["case"] == "moreau-sandwich")
+    assert row["passed"] == "False" and row["measured"] == "nan"
+
+
+def test_cut_game_player_names(tmp_path):
+    cfg = {"d": 3, "r": 3.0, "eps": 0.12, "games": 1, "max_rounds": 3}
+    with pytest.raises(ValueError, match="bogus"):
+        cli.run_cut_game({**cfg, "player": "bogus"}, 0)
+    rows, transcript = cli.run_cut_game({**cfg, "player": "center"}, 0)
+    assert len(rows) == 2 and transcript["games"][0]["rounds"] > 0
 
 
 def test_config_parse_error(tmp_path):

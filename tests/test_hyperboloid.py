@@ -343,6 +343,18 @@ class TestGspan:
         p = sub_exp(S, [0.3, -1.2][:S.dim])
         assert abs(mink_inner(p.coords, p.coords) + 1.0) < 1e-9
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(2, 16), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0),
+           st.integers(1, 3), st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
+    def test_gspan_contains_geodesics(self, d, seed, radius, n, ts):
+        rng = make_rng(seed)
+        x0 = base_point(d)
+        x = exp(x0, rand_unit(rng, x0).scaled(radius))
+        vs = [rand_unit(rng, x) for _ in range(n)]
+        S = gspan([x], vs)
+        for v, t in zip(vs, ts):
+            assert sub_dist_value(exp(x, v.scaled(t)), S) <= 1e-9
+
 
 @st.composite
 def subs_with_coords(draw):
@@ -435,6 +447,22 @@ class TestSubDist:
             mid = exp(a, log(a, b).scaled(0.5))
             gap = 0.5 * (sub_dist(a, S)[0] + sub_dist(b, S)[0]) - sub_dist(mid, S)[0]
             assert gap >= -1e-9
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(subs_with_coords(), st.integers(0, 2**32 - 1), st.floats(0.0, 5.0))
+    def test_sub_dist_foot_and_minimality(self, sub_and_coords, seed, radius):
+        S, c0 = sub_and_coords
+        rng = make_rng(seed)
+        x0 = base_point(S.ambient_dim - 1)
+        x = exp(x0, rand_unit(rng, x0).scaled(radius))
+        d, foot = sub_dist(x, S)
+        assert sub_dist_value(foot, S) <= 1e-9
+        assert abs(dist(x, foot) - d) <= 1e-9
+        for k in range(20):
+            c = c0 if k == 0 else rng.standard_normal(S.dim)
+            if S.dim and k:
+                c *= rng.uniform(0.0, 7.5) / np.linalg.norm(c)
+            assert dist(x, sub_exp(S, c)) >= d - 1e-9
 
 
 class TestHalfSpace:

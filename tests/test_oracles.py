@@ -1,4 +1,6 @@
+import ast
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,6 +134,43 @@ class TestDistSub:
         for _ in range(100):
             a, b = rand_point(rng, 3, 2.0), rand_point(rng, 3, 2.0)
             assert midpoint_convexity_gap(o, a, b) >= -1e-9
+
+
+class TestMetadata:
+    def test_minimum_stated_by_the_class(self, rng):
+        z = rand_point(rng, 3, 1.0)
+        S = HalfSpace(z, rand_unit(rng, z)).boundary
+        for c in (0.0, 0.3, -1.5):
+            assert fn_dist_sub(S, c).fmin == -c
+            assert oracles.fn_constant(c).fmin == c
+        assert fn_dist_point(z).fmin == 0.0
+        assert fn_sqdist_point(z).fmin == 0.0
+
+    def test_no_metadata_written_after_construction(self):
+        # each fact is stated once, in the oracle's own __init__ or class body;
+        # minimizer and strong_convexity are read by no check and are gone
+        facts = {"fmin", "lipschitz", "smoothness", "gconvex"}
+        bad = []
+        for path in sorted(Path(oracles.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            in_init = {id(n) for f in ast.walk(tree)
+                       if isinstance(f, ast.FunctionDef) and f.name == "__init__"
+                       for n in ast.walk(f)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and node.attr in facts \
+                        and isinstance(node.ctx, ast.Store):
+                    on_self = isinstance(node.value, ast.Name) and node.value.id == "self"
+                    if not (on_self and id(node) in in_init):
+                        bad.append((path.name, node.lineno, node.attr))
+                elif isinstance(node, ast.Call) and getattr(
+                        node.func, "id", getattr(node.func, "attr", "")) in (
+                        "setattr", "__setattr__") and any(
+                        isinstance(a, ast.Constant) and a.value in facts for a in node.args):
+                    bad.append((path.name, node.lineno, "setattr"))
+                elif getattr(node, "attr", getattr(node, "id", None)) in (
+                        "minimizer", "strong_convexity"):
+                    bad.append((path.name, node.lineno, "deleted fact"))
+        assert bad == []
 
 
 class TestShiftedMax:

@@ -214,6 +214,25 @@ class TestSelection:
             assert len(game.selection_margins) == T
 
 
+class TestRunningMaxMinimum:
+    # every running max states its minimum -a: part 0 is at least -a, and x*
+    # lies on every chosen hyperplane, where each part is at most -a
+    @pytest.mark.parametrize("new", [nonsmooth_new, smooth_new])
+    @pytest.mark.parametrize("T", [4, 16])
+    def test_fmin_is_attained_lower_bound(self, new, T):
+        game = new(T, 1.0)
+        play(game, "polyak", seed=0)
+        f, xstar, fstar = game.finalize()
+        assert fstar == f.fmin == -game.a
+        rng = make_rng(T)
+        for k in range(T):
+            fk = game.running_max(k)
+            assert fk.fmin == -game.a
+            assert abs(fk.value(xstar) - fk.fmin) <= 1e-8
+            for _ in range(20):
+                assert fk.value(random_point_in_ball(rng, game.xref, game.r)) >= fk.fmin
+
+
 class TestSmoothGame:
     def test_sandwich_against_nonsmooth_twin(self):
         rng = make_rng(12)

@@ -159,9 +159,8 @@ class TestGapBound:
         assert rep.bound == pytest.approx(4.0 * r * r, rel=1e-12)
 
     def test_constant_function(self):
+        # the constant states its own minimum and smoothness
         f = fn_constant(3.0)
-        f.fmin = 3.0
-        f.smoothness = 0.0
         rep = gap_bound_check(f, base_point(2), 1.0)
         assert rep.ok and rep.gap == 0.0
 
