@@ -15,22 +15,27 @@ closed-form); the general-purpose float64 API lives in ``resisting``.
 from __future__ import annotations
 
 import numpy as np
-from mpmath import mp, mpf
+from mpmath import libmp, mp, mpf
 
 from .hyperboloid import DomainError, zeta
 from .resisting import WorstReplayReport
 
 __all__ = ["worst_trajectory_report"]
 
-# Working precision of the replay, in decimal digits.
+# Working precision of the replay, in decimal digits, and the binary
+# precision and rounding that mp.workdps(DPS) sets.
 DPS = 60
+_PREC, _RND = libmp.dps_to_prec(DPS), libmp.round_nearest
 
 
 def _mdot(u, v):
-    s = mpf(0)
+    # the libmp calls that mpf's + - * make, without the object wrapper
+    mul, add = libmp.mpf_mul, libmp.mpf_add
+    s = libmp.fzero
     for a, b in zip(u[1:], v[1:]):
-        s += a * b
-    return s - u[0] * v[0]
+        s = add(s, mul(a._mpf_, b._mpf_, _PREC, _RND), _PREC, _RND)
+    t = mul(u[0]._mpf_, v[0]._mpf_, _PREC, _RND)
+    return mp.make_mpf(libmp.mpf_sub(s, t, _PREC, _RND))
 
 
 def _dist(x, y):
@@ -58,19 +63,21 @@ def _log(x, y):
     return [wi * d / nw for wi in w]
 
 
-def _transport(x, y, u):
-    alpha = -_mdot(x, y)
-    coef = _mdot(y, u) / (1 + alpha)
-    return [ui + coef * (xi + yi) for ui, xi, yi in zip(u, x, y)]
+def _max_abs_diff(xs, ys):
+    # rounding to float is monotone, so the largest rounded difference is the
+    # rounded largest one, and np.max keeps a NaN anywhere in the list
+    return float(np.max([float(abs(a - b)) for a, b in zip(xs, ys)]))
 
 
 def worst_trajectory_report(eps: float, r: float) -> WorstReplayReport:
     """Build the instance, run Polyak subgradient descent, measure deviations.
 
     The subgradient at the k-th ladder point is the committed answer
-    -e_{k+1}/cos(theta) in the transported frame; the run should reproduce
-    the ladder exactly, with the certified radius matching the ladder radius
-    and each step length matching the ladder edge.
+    -e_{k+1}/cos(theta); the run should reproduce the ladder exactly, with
+    the certified radius matching the ladder radius and each step length
+    matching the ladder edge.  Step k of the construction turns only frame
+    vector k-1, so the vector read at step k, at the k-th answer and at x*
+    is always the untouched axis e[k]: the replay keeps no frames.
     """
     if not (0.0 < eps <= 1.0 / (4.0 * np.sqrt(2.0)) + 1e-15):
         raise DomainError("eps must lie in (0, 1/(4 sqrt(2))]")
@@ -87,31 +94,23 @@ def worst_trajectory_report(eps: float, r: float) -> WorstReplayReport:
         y = [[mpf(1 if i == 0 else 0) for i in range(D)]]
         radii = [rr]
         deltas = []
-        frames = [e]
         for k in range(1, d):
             delta = mp.atanh(costh * mp.tanh(radii[k - 1]))
             rk = mp.asinh(sinth * mp.sinh(radii[k - 1]))
             deltas.append(delta)
             radii.append(rk)
             c, s = mp.cosh(delta), mp.sinh(delta)
-            prev = frames[k - 1]
-            yk = [c * a + s * b for a, b in zip(y[k - 1], prev[k - 1])]
-            fr = [list(row) for row in prev]
-            fr[k - 1] = [s * a + c * b for a, b in zip(y[k - 1], prev[k - 1])]
-            for i in range(k - 1):
-                fr[i] = _transport(y[k - 1], yk, prev[i])
-            frames.append(fr)
-            y.append(yk)
+            y.append([c * a + s * b for a, b in zip(y[k - 1], e[k - 1])])
 
         xs = [mp.cosh(radii[-1]) * a + mp.sinh(radii[-1]) * b
-              for a, b in zip(y[-1], frames[-1][d - 1])]
+              for a, b in zip(y[-1], e[d - 1])]
 
         # unit inward normals of the committed half-spaces at each ladder point
         normals = []
         for k in range(d - 1):
             lg = _log(y[k], xs)
             dk = mp.sqrt(_mdot(lg, lg))
-            V = [a / costh - b / dk for a, b in zip(frames[k][k], lg)]
+            V = [a / costh - b / dk for a, b in zip(e[k], lg)]
             nV = mp.sqrt(_mdot(V, V))
             normals.append([v / nV for v in V])
 
@@ -131,7 +130,7 @@ def worst_trajectory_report(eps: float, r: float) -> WorstReplayReport:
             for k in range(d):
                 if _dist(x, y[k]) <= ladder_tol:
                     if k <= d - 2:
-                        return [-v / costh for v in frames[k][k]]
+                        return [-v / costh for v in e[k]]
                     break
             lgx = _log(x, xs)
             dd = mp.sqrt(_mdot(lgx, lgx))
@@ -159,18 +158,16 @@ def worst_trajectory_report(eps: float, r: float) -> WorstReplayReport:
             s = mp.asinh(mp.sqrt(max(1 - c * c, mpf(0))) * mp.sinh(s))
             iterates.append(list(x))
 
-        max_ld = max(_dist(a, yk) for a, yk in zip(iterates, y))
-        max_re = max(abs(a - b) for a, b in zip(ss, radii))
-        max_se = max(abs(a - b) for a, b in zip(etas, deltas)) if etas else mpf(0)
-        max_ge = max(abs(a - b) for a, b in zip(gaps, radii))
+        fgaps = [float(g) for g in gaps]
         return WorstReplayReport(
             d=d,
             M=float(2 / costh),
-            gaps=[float(g) for g in gaps],
+            gaps=fgaps,
             radii=[float(rk) for rk in radii],
-            max_ladder_dist=float(max_ld),
-            max_radius_err=float(max_re),
-            max_step_err=float(max_se),
-            max_gap_err=float(max_ge),
-            min_gap=float(min(gaps)),
+            max_ladder_dist=float(np.max([float(_dist(a, yk))
+                                          for a, yk in zip(iterates, y)])),
+            max_radius_err=_max_abs_diff(ss, radii),
+            max_step_err=_max_abs_diff(etas, deltas),
+            max_gap_err=_max_abs_diff(gaps, radii),
+            min_gap=float(np.min(fgaps)),
         )

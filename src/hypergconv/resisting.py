@@ -500,7 +500,7 @@ def _verify_instance(inst: WorstInstance) -> None:
         raise GeometryViolation("ladder radius fell below r/2")
     for k in range(d):
         fr = inst.frames[k]
-        gram = np.array([[_mink_x(fr[i], fr[j]) for j in range(d)] for i in range(d)])
+        gram = _mink_x_rows(np.repeat(fr, d, 0), np.tile(fr, (d, 1))).reshape(d, d)
         if np.max(np.abs(gram - np.eye(d))) > 1e-8:
             raise GeometryViolation("transported frame lost orthonormality")
         for i in range(k + 1, d):
@@ -685,7 +685,7 @@ def a2_check(inst: WorstInstance, trace: Trace) -> TraceReport:
         a1_ok = a1_res <= 1e-7
         upto = min(k, len(inst.halfspaces))
         margins = [inst.halfspaces[i].margin(x) for i in range(upto)]
-        mm = min(margins) if margins else np.inf
+        mm = np.min(margins, initial=np.inf)
         report.rows.append(QueryCheck(k, a1_ok, float(a1_res),
                                       bool(mm >= -MEMBERSHIP_TOL), float(mm)))
         pts.append(x)

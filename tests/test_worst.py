@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 import hypergconv as hg
 from hypergconv import DomainError, RangeLimitError, base_point, dist, exp, zeta
@@ -53,6 +56,9 @@ class TestBuild:
         D = inst.d + 1
         for k in range(inst.d):
             fr = inst.frames[k]
+            # the step axis is untouched bit for bit: the mpmath replay reads
+            # it in place of a frame
+            assert np.array_equal(fr[k], np.eye(D)[k + 1])
             for i in range(k + 1, inst.d):
                 assert np.allclose(fr[i], np.eye(D)[i + 1], atol=1e-12)
 
@@ -121,6 +127,69 @@ class TestTrajectory:
         assert rep.min_gap >= 10.0
 
 
+    def test_highprec_form_rounds_like_mpf_arithmetic(self):
+        # _mdot runs on raw libmp tuples; it must round every product and
+        # partial sum exactly as mpf's operators do at the replay precision
+        rng = make_rng(5)
+        with mp.workdps(highprec.DPS):
+            for D in (2, 7, 40):
+                u = [mpf(t) * mp.cosh(20) for t in rng.normal(size=D).tolist()]
+                v = [mpf(t) / 3 for t in rng.normal(size=D).tolist()]
+                ref = mpf(0)
+                for a, b in zip(u[1:], v[1:]):
+                    ref += a * b
+                ref -= u[0] * v[0]
+                assert highprec._mdot(u, v)._mpf_ == ref._mpf_
+
+
+# WorstReplayReport fields of the mpmath replay, recorded before the replay
+# dropped its frame transports and moved its forms onto raw libmp tuples; the
+# replay must reproduce every one of them exactly.
+_PINNED_REPLAYS = {
+    (0.17, 20.0): dict(
+        d=21, M=2.9411764705882355,
+        gaps=[20.0, 19.689679755113403, 19.379359510226802, 19.069039265340205,
+              18.758719020453604, 18.448398775567007, 18.13807853068041,
+              17.82775828579381, 17.517438040907212, 17.207117796020615,
+              16.896797551134014, 16.58647730624742, 16.276157061360824,
+              15.965836816474232, 15.655516571587645, 15.345196326701068,
+              15.03487608181451, 14.724555836927985, 14.414235592041527,
+              14.103915347155187, 13.793595102269073],
+        radii=[20.0, 19.689679755113403, 19.379359510226802, 19.069039265340205,
+               18.758719020453604, 18.448398775567007, 18.13807853068041,
+               17.82775828579381, 17.517438040907212, 17.207117796020615,
+               16.896797551134014, 16.58647730624742, 16.276157061360824,
+               15.965836816474232, 15.655516571587645, 15.345196326701068,
+               15.03487608181451, 14.724555836927985, 14.414235592041527,
+               14.103915347155187, 13.793595102269073],
+        max_ladder_dist=7.139953862332619e-29,
+        max_radius_err=2.1333740975563566e-56,
+        max_step_err=3.46894207895272e-57,
+        max_gap_err=5.484716745295696e-56,
+        min_gap=13.793595102269073),
+    (0.16, 5.0): dict(
+        d=6, M=3.125,
+        gaps=[5.0, 4.736553991204604, 4.4731298251546, 4.209742642948285,
+              3.9464180664165522, 3.6831994252026976],
+        radii=[5.0, 4.736553991204604, 4.4731298251546, 4.209742642948285,
+               3.9464180664165522, 3.6831994252026976],
+        max_ladder_dist=1.1156177909894717e-30,
+        max_radius_err=3.111507638930571e-61,
+        max_step_err=3.111507638930571e-61,
+        max_gap_err=6.223015277861142e-61,
+        min_gap=3.6831994252026976),
+}
+
+
+@pytest.mark.parametrize("eps,r", sorted(_PINNED_REPLAYS))
+def test_highprec_report_pinned(eps, r):
+    rep = dataclasses.asdict(highprec.worst_trajectory_report(eps, r))
+    pinned = _PINNED_REPLAYS[eps, r]
+    assert rep.keys() == pinned.keys()
+    for name, value in pinned.items():
+        assert rep[name] == value, name
+
+
 class TestA2Check:
     def test_polyak_trajectory_passes(self):
         inst = worst_build(0.15, 6.0)
@@ -139,6 +208,21 @@ class TestA2Check:
         tr.samples.append(OracleSample(F1, inst.xstar, g1))
         rep = a2_check(inst, tr)
         assert not rep.rows[1].a1_ok
+
+    def test_nan_margin_fails_containment(self):
+        # a NaN margin behind a finite one must still fail the check
+        class NanHalfSpace:
+            def margin(self, x):
+                return float("nan")
+
+        inst = worst_build(0.15, 6.0)
+        f = worst_oracle(inst)
+        tr = polyak_sgd(f, fstar=0.0, x0=inst.ladder[0], s0=inst.r, T=3)
+        bad = dataclasses.replace(
+            inst, halfspaces=[inst.halfspaces[0], NanHalfSpace(), *inst.halfspaces[2:]])
+        rep = a2_check(bad, tr)
+        assert rep.rows[1].a2_ok
+        assert not rep.rows[2].a2_ok
 
     def test_empty_trace_vacuous(self):
         inst = worst_build(0.15, 6.0)
