@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import optimize
@@ -23,6 +24,7 @@ from .hyperboloid import (
     _dist_coords,
     _mink,
     _mink_x,
+    _mink_x_rows,
     dist,
     exp,
     gspan,
@@ -54,6 +56,10 @@ logger = logging.getLogger(__name__)
 
 # Two parts of a max within this of each other count as a tie.
 TIE_TOL = 1e-12
+
+# A Moreau value query answers from its closed-form bracket (lo, hi) when
+# hi - lo is at most this (see README, "The Moreau prox").
+BRACKET_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,14 +364,22 @@ class MoreauEnvelope(FnOracle):
         return val, log(x, y).scaled(-1.0 / self.lam)
 
     def value(self, x):
-        # candidate-based upper bound; skips the gradient-grade polish
-        return self._prox(x, need_gradient=False)[1]
+        # hi of a tight bracket, else a candidate-based upper bound that skips
+        # the gradient-grade polish
+        exact = self.f.prox_pair(x, self.lam)
+        if exact is not None:
+            return exact[1]
+        if self._pieces.one_row:
+            lo, hi = self._pieces.bracket(x.coords, self.lam)
+            if hi - lo <= BRACKET_TOL:
+                return hi
+        return _prox_max_pieces(x, self.lam, self._pieces, polish=False)[1]
 
-    def _prox(self, x: HPoint, need_gradient: bool = True) -> tuple[HPoint, float]:
+    def _prox(self, x: HPoint) -> tuple[HPoint, float]:
         exact = self.f.prox_pair(x, self.lam)
         if exact is not None:
             return exact
-        return _prox_max_pieces(x, self.lam, self._pieces, polish=need_gradient)
+        return _prox_max_pieces(x, self.lam, self._pieces)
 
 
 def fn_moreau(f: FnOracle, p: MoreauParams) -> MoreauEnvelope:
@@ -393,20 +407,53 @@ class _StackedPieces:
     ``N @ y`` gives the Minkowski products q of y with all normals (rows times
     J = diag(-1, 1, ..., 1)); ``owner[j]`` is the piece of row j and P[l, j] = 1
     when row j belongs to piece l, so dist(y, S_l) = arcsinh sqrt((P @ q**2)_l).
+    When every piece has one row (``one_row``, every resisting game) P is the
+    identity and is not formed.
     """
 
     def __init__(self, pieces: list[tuple[TotallyGeodesicSub, float]]):
         self.pieces = pieces
         rows = [S.normals for S, _ in pieces]
         self.J = np.where(np.arange(rows[0].shape[1]) == 0, -1.0, 1.0)
-        self.N = np.vstack(rows) * self.J
+        self.normals = np.vstack(rows)
+        self.N = self.normals * self.J
         owner = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
-        self.P = (owner == np.arange(len(rows))[:, None]).astype(float)
+        self.one_row = len(owner) == len(rows)
+        self.P = None if self.one_row else \
+            (owner == np.arange(len(rows))[:, None]).astype(float)
         self.blocks = [self.N[owner == l] for l in range(len(rows))]
         self.cs = np.array([c for _, c in pieces])
 
+    def per_piece(self, v: np.ndarray) -> np.ndarray:
+        """P @ v: the rows of v summed into their pieces."""
+        return v if self.P is None else self.P @ v
+
     def values(self, y: np.ndarray) -> np.ndarray:
-        return np.arcsinh(np.sqrt(self.P @ (self.N @ y) ** 2)) - self.cs
+        return np.arcsinh(np.sqrt(self.per_piece((self.N @ y) ** 2))) - self.cs
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Minkowski Gram matrix of the normals."""
+        return self.N @ self.normals.T
+
+    def bracket(self, x: np.ndarray, lam: float) -> tuple[float, float]:
+        """(lo, hi) around the envelope value at x; needs ``one_row``.
+
+        lo is the largest single-piece envelope, since f >= f_l.  hi is the
+        best of x and the single-piece proxes y_l, each at distance
+        t_l = min(lam, d_l) from x along the perpendicular to S_l, whose
+        products with every normal follow from s = <x, n> and the Gram G:
+        <y_l, n_m> = cosh(t_l) s_m - sign(s_l) sinh(t_l) (G_lm + s_l s_m) / sqrt(1 + s_l^2).
+        """
+        s = _mink_x_rows(self.normals, x)
+        d = np.arcsinh(np.abs(s))
+        t = np.minimum(lam, d)
+        lo = np.max(np.where(d >= lam, d - lam / 2.0, d * d / (2.0 * lam)) - self.cs)
+        toward = np.sign(s) * np.sinh(t) / np.sqrt(1.0 + s * s)
+        q = np.cosh(t)[:, None] * s - toward[:, None] * (self.gram + np.outer(s, s))
+        f_y = np.max(np.arcsinh(np.abs(q)) - self.cs, axis=1)
+        hi = min(np.max(d - self.cs), np.min(f_y + t * t / (2.0 * lam)))
+        return float(lo), float(hi)
 
 
 class _ProxProblem:
@@ -456,7 +503,7 @@ def _prox_max_pieces(x: HPoint, lam: float, sp: _StackedPieces,
     exceeds f(x).
     """
     prob = _ProxProblem(x, lam, sp)
-    xc, N, P, cs = prob.xc, sp.N, sp.P, sp.cs
+    xc, N, cs = prob.xc, sp.N, sp.cs
 
     # stage 0: candidates (the query point and the proxes of the pieces
     # nearest the max, which are the only ones the minimizer can activate)
@@ -488,13 +535,13 @@ def _prox_max_pieces(x: HPoint, lam: float, sp: _StackedPieces,
         return np.concatenate([z[:-1] / lam, [1.0]])
 
     def constraints(z):
-        cons = np.sinh(z[-1] + cs) ** 2 - P @ _prep(z)["q"] ** 2
+        cons = np.sinh(z[-1] + cs) ** 2 - sp.per_piece(_prep(z)["q"] ** 2)
         return np.concatenate([cons, [lam * lam - float(z[:-1] @ z[:-1])]])
 
     def constraints_jac(z):
         st = _prep(z)
         Jm = np.zeros((len(cs) + 1, z.size))
-        Jm[:-1, :-1] = -2.0 * (P @ (st["q"][:, None] * (N @ st["dy"])))
+        Jm[:-1, :-1] = -2.0 * sp.per_piece(st["q"][:, None] * (N @ st["dy"]))
         Jm[:-1, -1] = np.sinh(2.0 * (z[-1] + cs))
         Jm[-1, :-1] = -2.0 * z[:-1]
         return Jm

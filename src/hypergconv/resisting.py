@@ -167,6 +167,8 @@ class _GameBase:
             self._pair[j] = both[:, :2]
         self.remaining: list[int] = list(range(1, self.d + 1))
         self.chosen: list[tuple[int, int]] = []
+        self._i = np.zeros(T, dtype=int)  # chosen[k] == (_i[k], _s[k])
+        self._s = np.zeros(T, dtype=int)
         self._parts: list[DistToSub] = []  # dist(., S_i^s) - a, one per chosen (i, s)
         self.history: list[OracleSample] = []
         self.selection_margins: list[dict] = []
@@ -181,6 +183,7 @@ class _GameBase:
         return TotallyGeodesicSub(point, normal)
 
     def _choose(self, i: int, s: int) -> None:
+        self._i[len(self.chosen)], self._s[len(self.chosen)] = i, s
         self.chosen.append((i, s))
         self.remaining.remove(i)
         self._parts.append(fn_dist_sub(self.hyperplane(i, s), self.a))
@@ -189,7 +192,7 @@ class _GameBase:
         """The committed function after k+1 selections (pieces 0..k)."""
         offsets = np.arange(k + 1) * self.delta
         parts = list(zip(self._parts[:k + 1], offsets.tolist()))
-        i, s = np.array(self.chosen[:k + 1]).T
+        i, s = self._i[:k + 1], self._s[:k + 1]
         return _GameMax(parts, offsets, self._pair[(s < 0).astype(int), 1], i, self.a)
 
     def _select(self, x: HPoint) -> tuple[int, int]:
@@ -283,15 +286,13 @@ class SmoothGame(_GameBase):
     def _smooth(self, f: ShiftedMax):
         return fn_moreau(f, self._params)
 
-    def running_envelope(self, k: int):
-        return self._smooth(self.running_max(k))
-
     def worst_sandwich(self, rng: np.random.Generator, n: int) -> float:
         """Largest violation of f_k - lam <= env_k <= f_k (running max f_k, its
         envelope env_k) at n volume-uniform points of B(x_k, delta/2) per query."""
         worst = 0.0
         for k in range(self.T):
-            fk, env = self.running_max(k), self.running_envelope(k)
+            fk = self.running_max(k)
+            env = self._smooth(fk)
             xk = self.history[k].x
             for _ in range(n):
                 p = random_point_in_ball(rng, xk, self.delta / 2.0)

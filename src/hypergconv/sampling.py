@@ -43,13 +43,16 @@ def ball_radius_sampler(d: int, radius: float):
 
     The hyperbolic volume element gives radial density proportional to
     sinh^{d-1}(t); inversion interpolates a dense cumulative-trapezoid grid,
-    which is deterministic and accurate enough for sampling purposes.  Raises
-    ``RangeLimitError`` when sinh^{d-1} overflows or underflows on the grid.
+    which is deterministic and accurate enough for sampling purposes.  Where
+    the whole grid underflows, sinh is scaled by the power of two 2^-k that
+    brings sinh(radius) into [1/2, 1), which scales the density by the exact
+    2^(-k(d-1)).  Raises ``RangeLimitError`` when sinh^{d-1} overflows, or
+    still underflows after that scaling.
     """
     ts = np.linspace(0.0, radius, 4096)
-    with np.errstate(over="ignore"):  # an overflow raises below
-        dens = np.sinh(ts) ** (d - 1)
-        cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(ts))])
+    cdf = _radial_cdf(ts, d, 1.0)
+    if cdf[-1] == 0.0:
+        cdf = _radial_cdf(ts, d, np.ldexp(1.0, -int(np.frexp(np.sinh(radius))[1])))
     if not (np.isfinite(cdf[-1]) and cdf[-1] > 0.0):
         raise RangeLimitError(
             f"radial law of B(., {radius}) in dimension {d} is not representable "
@@ -61,6 +64,13 @@ def ball_radius_sampler(d: int, radius: float):
         return np.clip(np.interp(u, cdf, ts), 0.0, radius)
 
     return sample
+
+
+def _radial_cdf(ts: np.ndarray, d: int, scale: float) -> np.ndarray:
+    """Unnormalized cumulative trapezoid sums of (scale sinh(t))^{d-1} on ts."""
+    with np.errstate(over="ignore"):  # an overflow raises in the caller
+        dens = (scale * np.sinh(ts)) ** (d - 1)
+        return np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) * 0.5 * np.diff(ts))])
 
 
 def random_point_in_ball(rng: np.random.Generator, center: HPoint, radius: float) -> HPoint:

@@ -1,9 +1,11 @@
 import ast
+import functools
 import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hypergconv as hg
 from hypergconv import oracles
@@ -20,12 +22,14 @@ from hypergconv import (
 )
 from hypergconv.interpolation import InterpData, construct_sufficient
 from hypergconv.oracles import (
+    BRACKET_TOL,
     TIE_TOL,
     MoreauParams,
     FnOracle,
     OracleSample,
     ShiftedMax,
     _StackedPieces,
+    _prox_max_pieces,
     fn_dist_point,
     fn_dist_sub,
     fn_moreau,
@@ -36,8 +40,8 @@ from hypergconv.oracles import (
     subgradient_gap,
     taper,
 )
-from hypergconv.resisting import nonsmooth_new, play
-from hypergconv.sampling import random_point_in_ball
+from hypergconv.resisting import nonsmooth_new, play, smooth_new
+from hypergconv.sampling import make_rng, random_point_in_ball
 
 from conftest import rand_point, rand_tangent, rand_unit
 
@@ -485,6 +489,71 @@ class TestMoreau:
             (Fn, gn), (Ff, gf) = env_nested.eval(x), env_flat.eval(x)
             assert Fn == Ff
             assert np.array_equal(gn.vec, gf.vec)
+
+
+@functools.lru_cache(maxsize=None)
+def _played_smooth_game(T, r):
+    game = smooth_new(T, r)
+    play(game, "polyak", seed=0)
+    return game
+
+
+def _count_minimize(monkeypatch):
+    calls = []
+    real = oracles.optimize.minimize
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracles.optimize, "minimize", spy)
+    return calls
+
+
+class TestMoreauBracket:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from([4, 8, 16]), st.sampled_from([1.0, 2.0, 5.0]),
+           st.integers(0, 15), st.integers(0, 2**32 - 1))
+    def test_bracket_holds_the_solved_value(self, T, r, k, seed):
+        game = _played_smooth_game(T, r)
+        k %= T
+        env = game._smooth(game.running_max(k))
+        x = random_point_in_ball(make_rng(seed), game.history[k].x, game.delta / 2.0)
+        lo, hi = env._pieces.bracket(x.coords, env.lam)
+        solved = _prox_max_pieces(x, env.lam, env._pieces, polish=False)[1]
+        assert lo <= solved + 1e-15 <= hi + 2e-15
+        v = env.value(x)
+        if hi - lo <= BRACKET_TOL:
+            assert v == hi and abs(v - solved) <= 1e-12
+        else:
+            assert v == solved
+
+    def test_two_active_pieces_reach_slsqp(self, monkeypatch):
+        # at equal distance from two hyperplanes through x0 neither
+        # single-piece prox is a good candidate for the max: the bracket is
+        # wide and the solve runs; near one hyperplane only, it is tight
+        x0 = base_point(3)
+        e = frame_at_base(3)
+        S1, S2 = (HalfSpace(x0, v).boundary for v in e[:2])
+        env = fn_moreau(fn_shifted_max([(fn_dist_sub(S1), 0.0), (fn_dist_sub(S2), 0.0)]),
+                        MoreauParams(0.05))
+        calls = _count_minimize(monkeypatch)
+        x = exp(x0, hg.HTangent(x0, e[0].vec + e[1].vec).scaled(0.02))
+        lo, hi = env._pieces.bracket(x.coords, env.lam)
+        assert hi - lo > BRACKET_TOL
+        assert env.value(x) == _prox_max_pieces(x, env.lam, env._pieces, polish=False)[1]
+        assert len(calls) == 2
+        y = exp(x0, hg.HTangent(x0, 0.3 * e[0].vec + e[2].vec).scaled(0.2))
+        lo, hi = env._pieces.bracket(y.coords, env.lam)
+        assert hi - lo <= BRACKET_TOL and env.value(y) == hi
+        assert len(calls) == 2
+
+    def test_sandwich_rarely_solves(self, monkeypatch):
+        game = _played_smooth_game(16, 2.0)
+        calls = _count_minimize(monkeypatch)
+        n = 20
+        assert game.worst_sandwich(make_rng(1), n) <= 1e-12
+        assert len(calls) < 0.3 * game.T * n
 
 
 class TestTaper:

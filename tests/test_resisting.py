@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from hypergconv import DomainError, HalfSpace, RangeLimitError, exp, frame_at_base, log, \
-    sub_dist, zeta
+from hypergconv import DomainError, HalfSpace, RangeLimitError, dist, exp, frame_at_base, \
+    log, sub_dist, zeta
 from hypergconv import resisting
 from hypergconv.hyperboloid import _tangent_unchecked
 from hypergconv.oracles import worst_chord_slope
@@ -268,17 +268,20 @@ class TestSmoothGame:
 
         game = smooth_new(2, 1.0)
         play(game, "polyak", seed=0)
-        monkeypatch.setattr(game, "running_envelope", lambda k: NanOracle())
+        monkeypatch.setattr(game, "_smooth", lambda f: NanOracle())
         assert np.isnan(game.worst_sandwich(make_rng(0), 2))
         assert np.isnan(worst_chord_slope(NanOracle(), make_rng(0), game.xref,
                                           0.5, game.lam, 2))
 
-    def test_sandwich_radius_out_of_range(self):
-        # delta/2 = 1.7e-4 in dimension 128: sinh^127 underflows to zero
+    def test_sandwich_radius_in_range(self):
+        # delta/2 = 1.7e-4 in dimension 128, where sinh^127 underflows to
+        # zero: the sampler scales it and the sandwich ball is sampled
         game = smooth_new(128, 2.0)
-        game.respond(game.xref)
-        with pytest.raises(RangeLimitError):
-            game.worst_sandwich(make_rng(0), 1)
+        xk = game.respond(game.xref).x
+        rng = make_rng(0)
+        for _ in range(5):
+            p = random_point_in_ball(rng, xk, game.delta / 2.0)
+            assert 0.0 < dist(xk, p) <= game.delta / 2.0 * (1.0 + 1e-9)
 
     def test_envelope_locality(self):
         # smoothed values near x_k only depend on parts active in the
@@ -288,8 +291,8 @@ class TestSmoothGame:
         play(game, "random", seed=23)
         game.finalize()
         for k in range(game.T):
-            envk = game.running_envelope(k)
-            envT = game.running_envelope(game.T - 1)
+            envk = game._smooth(game.running_max(k))
+            envT = game._smooth(game.running_max(game.T - 1))
             xk = game.history[k].x
             for _ in range(10):
                 p = random_point_in_ball(rng, xk, game.delta / 4)
