@@ -17,8 +17,7 @@ from __future__ import annotations
 import numpy as np
 from mpmath import libmp, mp, mpf
 
-from .hyperboloid import DomainError, zeta
-from .resisting import WorstReplayReport
+from .resisting import WorstReplayReport, _ladder_size, _max_abs_diff
 
 __all__ = ["worst_trajectory_report"]
 
@@ -63,27 +62,18 @@ def _log(x, y):
     return [wi * d / nw for wi in w]
 
 
-def _max_abs_diff(xs, ys):
-    # rounding to float is monotone, so the largest rounded difference is the
-    # rounded largest one, and np.max keeps a NaN anywhere in the list
-    return float(np.max([float(abs(a - b)) for a, b in zip(xs, ys)]))
-
-
 def worst_trajectory_report(eps: float, r: float) -> WorstReplayReport:
     """Build the instance, run Polyak subgradient descent, measure deviations.
 
     The subgradient at the k-th ladder point is the committed answer
     -e_{k+1}/cos(theta); the run should reproduce the ladder exactly, with
     the certified radius matching the ladder radius and each step length
-    matching the ladder edge.  Step k of the construction turns only frame
-    vector k-1, so the vector read at step k, at the k-th answer and at x*
-    is always the untouched axis e[k]: the replay keeps no frames.
+    matching the ladder edge.  Step k of the construction turns only axis
+    k-1, so the vector read at step k, at the k-th answer and at x* is always
+    the untouched axis e[k]; like ``resisting.worst_build``, the replay never
+    transports a frame, and it reads the axes directly.
     """
-    if not (0.0 < eps <= 1.0 / (4.0 * np.sqrt(2.0)) + 1e-15):
-        raise DomainError("eps must lie in (0, 1/(4 sqrt(2))]")
-    d = int(np.floor(float(zeta(r)) / (32.0 * eps * eps)))
-    if d < 2:
-        raise DomainError(f"eps={eps} too large for r={r}")
+    d = _ladder_size(eps, r)
     with mp.workdps(DPS):
         costh = 4 * mpf(repr(eps))
         rr = mpf(repr(r))

@@ -399,8 +399,11 @@ def export_transcript_jsonl(game: _GameBase, path) -> None:
 class WorstInstance:
     """Predetermined query ladder and half-space fan for the worst function.
 
-    ``frames[k]`` holds the transported orthonormal frame at ``ladder[k]``
-    (row i-1 is the i-th frame vector in ambient coordinates).
+    Row i of ``axes`` is the (i+1)-th frame vector in ambient coordinates.
+    Step k of the construction turns row k-1 into the ladder direction at
+    ``ladder[k]``; transport along the ladder fixes every other row in exact
+    arithmetic (each is orthogonal to the step plane), so the rows are stored
+    once and row d-1 stays the untouched axis e_d.
     """
 
     theta: float
@@ -411,7 +414,7 @@ class WorstInstance:
     ladder: list[HPoint]
     radii: list[float]
     deltas: list[float]
-    frames: list[np.ndarray]
+    axes: np.ndarray
     xstar: HPoint
     halfspaces: list[HalfSpace]
 
@@ -421,7 +424,17 @@ class WorstInstance:
 
     def gtilde(self, k: int) -> np.ndarray:
         """Ambient coordinates of the oracle's answer at ladder point k."""
-        return -self.frames[k][k] / np.cos(self.theta)
+        return -np.eye(1, self.d + 1, k + 1)[0] / np.cos(self.theta)
+
+
+def _ladder_size(eps: float, r: float) -> int:
+    """Number of ladder points d = floor(zeta(r) / (32 eps^2)), at least 2."""
+    if not (0.0 < eps <= 1.0 / (4.0 * np.sqrt(2.0)) + 1e-15):
+        raise DomainError("eps must lie in (0, 1/(4 sqrt(2))]")
+    d = int(np.floor(float(zeta(r)) / (32.0 * eps * eps)))
+    if d < 2:
+        raise DomainError(f"eps={eps} too large for r={r}: ladder has d={d} < 2 levels")
+    return d
 
 
 def worst_build(eps: float, r: float, pick: int = +1) -> WorstInstance:
@@ -432,8 +445,6 @@ def worst_build(eps: float, r: float, pick: int = +1) -> WorstInstance:
     point, so radii shrink by sinh(r_k) = sin(theta) sinh(r_{k-1}) while
     staying at least r/2.
     """
-    if not (0.0 < eps <= 1.0 / (4.0 * np.sqrt(2.0)) + 1e-15):
-        raise DomainError("eps must lie in (0, 1/(4 sqrt(2))]")
     # the fan of half-spaces multiplies two cosh(r)-size coordinate scales, so
     # double precision only supports the construction up to r ~ 14 (certificates
     # are criterion-grade up to r ~ 10); highprec.worst_trajectory_report covers
@@ -444,46 +455,38 @@ def worst_build(eps: float, r: float, pick: int = +1) -> WorstInstance:
             "use highprec.worst_trajectory_report for larger radii")
     if pick not in (+1, -1):
         raise DomainError("pick must be +1 or -1")
+    d = _ladder_size(eps, r)
     costh = 4.0 * eps
     theta = float(np.arccos(costh))
-    d = int(np.floor(float(zeta(r)) / (32.0 * eps * eps)))
-    if d < 2:
-        raise DomainError(f"eps={eps} too large for r={r}: ladder has d={d} < 2 levels")
 
     D = d + 1
     y = [base_point(d)]
     radii = [float(r)]
     deltas: list[float] = []
-    frame0 = np.eye(D)[1:, :]
-    frames = [frame0]
+    axes = np.eye(d, D, 1)
     for k in range(1, d):
         delta, rk = right_triangle(radii[k - 1], theta)
         deltas.append(delta)
         radii.append(rk)
-        yk = np.cosh(delta) * y[k - 1].coords + np.sinh(delta) * frames[k - 1][k - 1]
-        ykp = HPoint(yk / np.sqrt(-_mink_x(yk, yk)))
-        fr = frames[k - 1].copy()
-        fr[k - 1] = np.sinh(delta) * y[k - 1].coords + np.cosh(delta) * frames[k - 1][k - 1]
-        for i in range(k - 1):
-            fr[i] = ptransport(y[k - 1], ykp, _rebase(y[k - 1], frames[k - 1][i])).vec
-        frames.append(fr)
-        y.append(ykp)
+        yk = np.cosh(delta) * y[k - 1].coords + np.sinh(delta) * axes[k - 1]
+        axes[k - 1] = np.sinh(delta) * y[k - 1].coords + np.cosh(delta) * axes[k - 1]
+        y.append(HPoint(yk / np.sqrt(-_mink_x(yk, yk))))
 
-    xs = np.cosh(radii[-1]) * y[-1].coords + pick * np.sinh(radii[-1]) * frames[-1][d - 1]
+    xs = np.cosh(radii[-1]) * y[-1].coords + pick * np.sinh(radii[-1]) * axes[d - 1]
     xstar = HPoint(xs / np.sqrt(-_mink_x(xs, xs)))
 
     halfspaces = []
     for k in range(d - 1):
         lg = log(y[k], xstar)
         dk = lg.norm
-        V = frames[k][k] / costh - lg.vec / dk
+        V = np.eye(1, D, k + 1)[0] / costh - lg.vec / dk
         nV = np.sqrt(max(_mink_x(V, V), 0.0))
         if abs(nV - np.tan(theta)) > 1e-6 * max(1.0, np.tan(theta)):
             raise GeometryViolation("half-space normal norm deviates from tan(theta)")
         halfspaces.append(HalfSpace(y[k], _rebase(y[k], V / nV)))
 
     inst = WorstInstance(theta=theta, eps=eps, r=float(r), d=d, M=2.0 / costh,
-                         ladder=y, radii=radii, deltas=deltas, frames=frames,
+                         ladder=y, radii=radii, deltas=deltas, axes=axes,
                          xstar=xstar, halfspaces=halfspaces)
     _verify_instance(inst)
     return inst
@@ -491,7 +494,7 @@ def worst_build(eps: float, r: float, pick: int = +1) -> WorstInstance:
 
 def _verify_instance(inst: WorstInstance) -> None:
     """Build-time invariant checks; raises GeometryViolation on failure."""
-    d, D = inst.d, inst.d + 1
+    d, ax = inst.d, inst.axes
     for k in range(1, d):
         lhs = np.cosh(inst.radii[k - 1])
         rhs = np.cosh(inst.radii[k]) * np.cosh(inst.deltas[k - 1])
@@ -499,21 +502,15 @@ def _verify_instance(inst: WorstInstance) -> None:
             raise GeometryViolation("triangle identity failed in the ladder")
     if min(inst.radii) < inst.r / 2.0 - 1e-9:
         raise GeometryViolation("ladder radius fell below r/2")
-    for k in range(d):
-        fr = inst.frames[k]
-        gram = _mink_x_rows(np.repeat(fr, d, 0), np.tile(fr, (d, 1))).reshape(d, d)
-        if np.max(np.abs(gram - np.eye(d))) > 1e-8:
-            raise GeometryViolation("transported frame lost orthonormality")
-        for i in range(k + 1, d):
-            if np.max(np.abs(fr[i] - np.eye(D)[i + 1])) > 1e-9:
-                raise GeometryViolation("frame vectors beyond the step index moved")
-        for i in range(1, k + 1):
-            if abs(_mink_x(inst.ladder[k].coords, inst.frames[i][i - 1])) > 1e-8:
-                raise GeometryViolation("ladder point left its orthogonality slab")
+    gram = _mink_x_rows(np.repeat(ax, d, 0), np.tile(ax, (d, 1))).reshape(d, d)
+    if np.max(np.abs(gram - np.eye(d))) > 1e-8:
+        raise GeometryViolation("ladder axes lost orthonormality")
+    for k in range(1, d):
+        if np.max(np.abs(_mink_x_rows(ax[:k], inst.ladder[k].coords))) > 1e-8:
+            raise GeometryViolation("ladder point left its orthogonality slab")
     lg_last = log(inst.ladder[-1], inst.xstar)
-    for i in range(d - 1):
-        if abs(_mink_x(lg_last.vec, inst.frames[d - 1][i])) > 1e-8:
-            raise GeometryViolation("x* direction is not orthogonal to the ladder span")
+    if np.max(np.abs(_mink_x_rows(ax[:d - 1], lg_last.vec))) > 1e-8:
+        raise GeometryViolation("x* direction is not orthogonal to the ladder span")
     for k, L in enumerate(inst.halfspaces):
         if abs(L.margin(inst.xstar)) > 1e-8:
             raise GeometryViolation("x* is not on a half-space boundary")
@@ -617,6 +614,12 @@ class WorstReplayReport:
     min_gap: float
 
 
+def _max_abs_diff(xs, ys) -> float:
+    # float or mpf pairs; rounding to float is monotone, so the largest rounded
+    # difference is the rounded largest one, and np.max keeps a NaN anywhere
+    return float(np.max([float(abs(a - b)) for a, b in zip(xs, ys)]))
+
+
 def worst_trajectory_report(eps: float, r: float) -> WorstReplayReport:
     """Build the instance, run Polyak descent from the first ladder point and
     measure its deviations from the ladder in float64 (r <= 14; the mpmath
@@ -628,11 +631,9 @@ def worst_trajectory_report(eps: float, r: float) -> WorstReplayReport:
         d=inst.d, M=inst.M, gaps=trace.gaps, radii=inst.radii,
         max_ladder_dist=float(np.max([dist(s.x, y)
                                       for s, y in zip(trace.samples, inst.ladder)])),
-        max_radius_err=float(np.max([abs(s - rk)
-                                     for s, rk in zip(trace.radii, inst.radii)])),
-        max_step_err=float(np.max([abs(e - dk) for e, dk
-                                   in zip(trace.step_lengths[:inst.d - 1], inst.deltas)])),
-        max_gap_err=float(np.max([abs(g - rk) for g, rk in zip(trace.gaps, inst.radii)])),
+        max_radius_err=_max_abs_diff(trace.radii, inst.radii),
+        max_step_err=_max_abs_diff(trace.step_lengths, inst.deltas),
+        max_gap_err=_max_abs_diff(trace.gaps, inst.radii),
         min_gap=float(np.min(trace.gaps)),
     )
 

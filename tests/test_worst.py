@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from mpmath import mp, mpf
 
 import hypergconv as hg
 from hypergconv import DomainError, RangeLimitError, base_point, dist, exp, zeta
+from hypergconv.hyperboloid import _mink_x, _mink_x_rows, ptransport
 from hypergconv import highprec, resisting
 from hypergconv.oracles import fn_constant, fn_sqdist_point, subgradient_gap
 from hypergconv.resisting import (
@@ -24,9 +26,16 @@ from conftest import rand_point
 
 
 class TestBuild:
-    def test_eps_guard(self):
+    # 0.2 > 1/(4 sqrt 2); at r = 0.5 eps = 0.17 leaves a ladder of d = 1 < 2
+    @pytest.mark.parametrize("build,eps,r", [
+        (worst_build, 0.2, 5.0),
+        (highprec.worst_trajectory_report, 0.2, 20.0),
+        (worst_build, 0.17, 0.5),
+        (highprec.worst_trajectory_report, 0.17, 0.5),
+    ], ids=["float64-eps", "mpmath-eps", "float64-d1", "mpmath-d1"])
+    def test_eps_guard(self, build, eps, r):
         with pytest.raises(DomainError):
-            worst_build(0.2, 5.0)  # 0.2 > 1/(4 sqrt 2)
+            build(eps, r)
 
     def test_radius_guard(self):
         with pytest.raises(RangeLimitError):
@@ -51,16 +60,34 @@ class TestBuild:
                 rel=1e-9)
         assert min(inst.radii) >= inst.r / 2 - 1e-9
 
-    def test_frames_structure(self):
-        inst = worst_build(0.17, 6.0)
-        D = inst.d + 1
-        for k in range(inst.d):
-            fr = inst.frames[k]
-            # the step axis is untouched bit for bit: the mpmath replay reads
-            # it in place of a frame
-            assert np.array_equal(fr[k], np.eye(D)[k + 1])
-            for i in range(k + 1, inst.d):
-                assert np.allclose(fr[i], np.eye(D)[i + 1], atol=1e-12)
+    def test_axes_structure(self):
+        for eps, r in ((0.17, 6.0), (0.1, 10.0)):
+            inst = worst_build(eps, r)
+            d, ax, y = inst.d, inst.axes, inst.ladder
+            # the last axis is never turned: x* steps along it bit for bit
+            assert np.array_equal(ax[d - 1], np.eye(d + 1)[d])
+            gram = _mink_x_rows(np.repeat(ax, d, 0), np.tile(ax, (d, 1)))
+            assert np.max(np.abs(gram.reshape(d, d) - np.eye(d))) <= 1e-12
+            for k in range(1, d):
+                assert abs(_mink_x(y[k].coords, ax[k - 1])) <= 1e-12
+            # reference: transport every earlier frame row along each step
+            fr = np.eye(d, d + 1, 1)
+            for k in range(1, d):
+                prev = fr.copy()
+                fr[k - 1] = (np.sinh(inst.deltas[k - 1]) * y[k - 1].coords
+                             + np.cosh(inst.deltas[k - 1]) * prev[k - 1])
+                for i in range(k - 1):
+                    fr[i] = ptransport(y[k - 1], y[k],
+                                       resisting._rebase(y[k - 1], prev[i])).vec
+            assert np.max(np.abs(fr - ax)) <= 1e-11
+
+    def test_build_transports_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("worst_build called ptransport")
+
+        monkeypatch.setattr(resisting, "ptransport", refuse)
+        for eps, r in ((0.1, 10.0), (0.17, 14.0)):
+            worst_build(eps, r)
 
     def test_xstar_on_last_sphere(self):
         inst = worst_build(0.15, 6.0)
@@ -185,6 +212,75 @@ _PINNED_REPLAYS = {
 def test_highprec_report_pinned(eps, r):
     rep = dataclasses.asdict(highprec.worst_trajectory_report(eps, r))
     pinned = _PINNED_REPLAYS[eps, r]
+    assert rep.keys() == pinned.keys()
+    for name, value in pinned.items():
+        assert rep[name] == value, name
+
+
+# WorstReplayReport fields of the float64 run, and the SHA-256 of the bytes of
+# the ladder, x*, the half-space anchors and normals and every gtilde answer,
+# recorded while worst_build still transported its frames; keeping only the
+# turned axes must reproduce every one of them exactly.
+_PINNED_FLOAT64 = {
+    (0.1, 10.0): dict(
+        sha256="77f322727404a849171172672ff50ada0fc712680ecd5f55ad14837ef7696ca6",
+        d=31, M=5.0,
+        gaps=[9.999999993243684, 9.912823300063897, 9.82564660695889,
+              9.738469913942907, 9.651293221032908, 9.564116528249079,
+              9.47693983561545, 9.389763143160634, 9.302586450918687,
+              9.215409758930159, 9.128233067243318, 9.041056375915629,
+              8.953879685015503, 8.866702994624378, 8.779526304839209,
+              8.692349615775413, 8.605172927570399, 8.51799624038774,
+              8.430819554422172, 8.343642869905523, 8.256466187113777,
+              8.169289506375485, 8.082112828081781, 7.994936152698301,
+              7.907759480779375, 7.820582812984914, 7.733406150100532,
+              7.646229493061482, 7.55905284298116, 7.471876201185033,
+              7.3846995692510395],
+        radii=[10.0, 9.912823306820211, 9.825646613715204, 9.738469920699222,
+               9.651293227789223, 9.564116535005393, 9.476939842371765,
+               9.389763149916948, 9.302586457675002, 9.215409765686474,
+               9.128233073999633, 9.041056382671943, 8.953879691771816,
+               8.86670300138069, 8.77952631159552, 8.692349622531724,
+               8.605172934326708, 8.517996247144048, 8.43081956117848,
+               8.343642876661828, 8.25646619387008, 8.169289513131787,
+               8.082112834838082, 7.994936159454602, 7.907759487535674,
+               7.820582819741213, 7.73340615685683, 7.646229499817779,
+               7.559052849737453, 7.471876207941323, 7.384699576007327],
+        max_ladder_dist=1.7320910099025678e-09,
+        max_radius_err=6.209904590548376e-09,
+        max_step_err=8.058027578528026e-10,
+        max_gap_err=6.756316395239992e-09,
+        min_gap=7.3846995692510395),
+    (0.17, 6.0): dict(
+        sha256="ee0386d2a64d6e4ee3e8ab9c421df52b4252cbb258086e2fd5657e6716369c8a",
+        d=6, M=2.941176470588235,
+        gaps=[6.0000000000017355, 5.689685039794853, 5.37937462481879,
+              5.069072663964956, 4.758786426888439, 4.4485294313497326],
+        radii=[6.0, 5.689685039793117, 5.379374624817054, 5.06907266396322,
+               4.758786426886702, 4.448529431347995],
+        max_ladder_dist=2.314292362435282e-12,
+        max_radius_err=1.9255708139098715e-12,
+        max_step_err=8.240075288767912e-13,
+        max_gap_err=1.737276988933445e-12,
+        min_gap=4.4485294313497326),
+}
+
+
+@pytest.mark.parametrize("eps,r", sorted(_PINNED_FLOAT64))
+def test_float64_report_pinned(eps, r):
+    pinned = dict(_PINNED_FLOAT64[eps, r])
+    inst = worst_build(eps, r)
+    h = hashlib.sha256()
+    for y in inst.ladder:
+        h.update(y.coords.tobytes())
+    h.update(inst.xstar.coords.tobytes())
+    for L in inst.halfspaces:
+        h.update(L.anchor.coords.tobytes())
+        h.update(L.normal.vec.tobytes())
+    for k in range(inst.d - 1):
+        h.update(inst.gtilde(k).tobytes())
+    assert h.hexdigest() == pinned.pop("sha256")
+    rep = dataclasses.asdict(resisting.worst_trajectory_report(eps, r))
     assert rep.keys() == pinned.keys()
     for name, value in pinned.items():
         assert rep[name] == value, name
