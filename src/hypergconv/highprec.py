@@ -28,11 +28,17 @@ _PREC, _RND = libmp.dps_to_prec(DPS), libmp.round_nearest
 
 
 def _mdot(u, v):
-    # the libmp calls that mpf's + - * make, without the object wrapper
-    mul, add = libmp.mpf_mul, libmp.mpf_add
-    s = libmp.fzero
+    # the libmp calls that mpf's + - * make, without the object wrapper; a
+    # pair with an exact zero is skipped, since its product is fzero and
+    # mpf_add(s, fzero) returns s rounded to the precision s already has
+    # (iterate and ladder point k are zero past coordinate k, a unit axis
+    # everywhere but one coordinate)
+    mul, add, zero = libmp.mpf_mul, libmp.mpf_add, libmp.fzero
+    s = zero
     for a, b in zip(u[1:], v[1:]):
-        s = add(s, mul(a._mpf_, b._mpf_, _PREC, _RND), _PREC, _RND)
+        a, b = a._mpf_, b._mpf_
+        if a != zero and b != zero:
+            s = add(s, mul(a, b, _PREC, _RND), _PREC, _RND)
     t = mul(u[0]._mpf_, v[0]._mpf_, _PREC, _RND)
     return mp.make_mpf(libmp.mpf_sub(s, t, _PREC, _RND))
 

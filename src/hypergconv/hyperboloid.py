@@ -85,18 +85,40 @@ def _mink(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 _SPLITTER = 134217729.0  # 2^27 + 1, Dekker splitting constant
 
+# Longest vectors whose compensated form runs as a loop over Python floats;
+# below about this length numpy's per-call dispatch costs more than the
+# arithmetic (see README, "The compensated form").
+_MINK_LOOP_MAX = 32
+
 
 def _mink_x(u: np.ndarray, v: np.ndarray) -> float:
-    """Compensated Minkowski form of two 1-d vectors.
+    """Compensated Minkowski form of two 1-d float64 vectors.
 
     Points at radius rho from the chart center have coordinates of size
     cosh(rho); the plain form then cancels catastrophically (error
     eps*cosh(rho)^2, i.e. total loss beyond rho ~ 18).  Dekker two-products
     plus exact summation evaluate the form of the stored doubles exactly, so
-    only the representation error of the inputs remains.
+    only the representation error of the inputs remains.  Short vectors run
+    the operations of ``_two_products`` on Python floats: every term is the
+    same double, and ``fsum`` is correctly rounded, so the order of the
+    terms does not matter and both paths give the same bits.
     """
-    p, err = _two_products(u, v)
-    return math.fsum(p.tolist() + err.tolist())
+    if len(u) > _MINK_LOOP_MAX:
+        p, err = _two_products(u, v)
+        return math.fsum(p.tolist() + err.tolist())
+    terms = []
+    for a, b in zip(u.tolist(), v.tolist(), strict=True):
+        p = a * b
+        t = _SPLITTER * a
+        ah = t - (t - a)
+        al = a - ah
+        t = _SPLITTER * b
+        bh = t - (t - b)
+        bl = b - bh
+        terms += (p, ((ah * bh - p) + ah * bl + al * bh) + al * bl)
+    terms[0] = -terms[0]
+    terms[1] = -terms[1]
+    return math.fsum(terms)
 
 
 def _mink_x_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -151,11 +173,13 @@ class HPoint:
         if arr.ndim != 1 or arr.size < 2:
             raise DimensionMismatch("point needs a 1-d ambient vector, size >= 2")
         q = _mink_x(arr, arr)
-        # the membership defect of representable points grows like
-        # eps * |x|_E^2, so the tolerance is scale-aware beyond unit coords
-        tol = POINT_TOL * max(1.0, float(arr @ arr) * 1e-5)
-        if not np.isfinite(q) or abs(q + 1.0) > tol:
-            raise GeometryViolation(f"<x,x> = {q}, expected -1 within {tol}")
+        if not abs(q + 1.0) <= POINT_TOL:  # NaN included
+            # the membership defect of representable points grows like
+            # eps * |x|_E^2, so the tolerance is scale-aware beyond unit
+            # coords; it is at least POINT_TOL, so it is only needed here
+            tol = POINT_TOL * max(1.0, float(arr @ arr) * 1e-5)
+            if not np.isfinite(q) or abs(q + 1.0) > tol:
+                raise GeometryViolation(f"<x,x> = {q}, expected -1 within {tol}")
         if arr[0] <= 0.0:
             raise GeometryViolation("point is not on the upper sheet (x0 <= 0)")
         arr = arr / np.sqrt(-q)
@@ -193,9 +217,11 @@ class HTangent:
         if v.shape != x.shape:
             raise DimensionMismatch("tangent vector/base point dimension mismatch")
         ip = _mink_x(x, v)
-        scale = max(1.0, float(np.linalg.norm(v)) * float(np.linalg.norm(x)) * 1e-5)
-        if not np.isfinite(ip) or abs(ip) > POINT_TOL * scale:
-            raise GeometryViolation(f"<base, vec> = {ip}, not tangent within {POINT_TOL * scale}")
+        if not abs(ip) <= POINT_TOL:  # NaN included; the scaled tolerance is larger
+            scale = max(1.0, float(np.linalg.norm(v)) * float(np.linalg.norm(x)) * 1e-5)
+            if not np.isfinite(ip) or abs(ip) > POINT_TOL * scale:
+                raise GeometryViolation(
+                    f"<base, vec> = {ip}, not tangent within {POINT_TOL * scale}")
         # exact re-orthogonalization against the base (P v = v + <v,x> x)
         v = v + ip * x
         v.flags.writeable = False

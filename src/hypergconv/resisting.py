@@ -431,6 +431,8 @@ def _ladder_size(eps: float, r: float) -> int:
     """Number of ladder points d = floor(zeta(r) / (32 eps^2)), at least 2."""
     if not (0.0 < eps <= 1.0 / (4.0 * np.sqrt(2.0)) + 1e-15):
         raise DomainError("eps must lie in (0, 1/(4 sqrt(2))]")
+    if not (0.0 < r < np.inf):
+        raise DomainError(f"radius must be finite and positive, got r={r}")
     d = int(np.floor(float(zeta(r)) / (32.0 * eps * eps)))
     if d < 2:
         raise DomainError(f"eps={eps} too large for r={r}: ladder has d={d} < 2 levels")

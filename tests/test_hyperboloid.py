@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +28,8 @@ from hypergconv import (
     sub_exp,
     zeta,
 )
-from hypergconv.hyperboloid import _mink_x, _mink_x_rows
+from hypergconv import hyperboloid
+from hypergconv.hyperboloid import _mink_x, _mink_x_rows, _two_products
 from hypergconv.sampling import make_rng
 
 from conftest import rand_point, rand_tangent, rand_unit
@@ -84,6 +87,74 @@ def point_and_sparse_rows(draw):
     rows[cancel, 1] = np.nextafter(t[cancel] * x[0], np.inf * rng.choice(
         [-1.0, 1.0], size=cancel.sum()))
     return x, idx, rows
+
+
+def _mink_x_reference(u, v):
+    """The array kernel: Dekker terms from ``_two_products``, summed exactly."""
+    p, err = _two_products(u, v)
+    return math.fsum(p.tolist() + err.tolist())
+
+
+@st.composite
+def mink_pairs(draw):
+    """Pairs of float64 vectors of length D in [2, 80], on both sides of the
+    loop cutoff: point pairs at radius <= 19, self-products (``u is v``),
+    tangent pairs, pairs that cancel to a few ulps, and vectors of exact and
+    signed zeros."""
+    D = draw(st.integers(2, 80))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def point():
+        rho = draw(st.floats(0.0, 19.0))
+        w = rng.standard_normal(D - 1)
+        return np.concatenate([[np.cosh(rho)], np.sinh(rho) * w / np.linalg.norm(w)])
+
+    kind = draw(st.sampled_from(["points", "self", "tangent", "cancel", "zeros"]))
+    if kind == "points":
+        return point(), point()
+    if kind == "self":
+        u = point() if draw(st.booleans()) else rng.standard_normal(D) * 1e3
+        return u, u
+    if kind == "tangent":
+        x = point()
+        w = rng.standard_normal(D) * np.exp(rng.uniform(-3.0, 3.0))
+        return x, w + _mink_x_reference(w, x) * x
+    if kind == "cancel":
+        u, v = point(), rng.standard_normal(D)
+        # v_0 u_0 ~ sum_i u_i v_i, then a few ulps off in either direction
+        v[0] = math.fsum((u[1:] * v[1:]).tolist()) / u[0]
+        for _ in range(draw(st.integers(0, 4))):
+            v[0] = np.nextafter(v[0], draw(st.sampled_from([-np.inf, np.inf])))
+        return u, v
+    pool = [0.0, -0.0, 1.0, -1.0, 2.0 ** -600, -3.5]
+    u, v = (np.array(draw(st.lists(st.sampled_from(pool), min_size=D, max_size=D)))
+            for _ in range(2))
+    return u, v
+
+
+class TestMinkX:
+    def test_cutoff_inside_tested_lengths(self):
+        assert 2 <= hyperboloid._MINK_LOOP_MAX < 80
+
+    # the Python-float loop must give the array kernel's bits: every CSV
+    # digest and pinned report reads values built on this form
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(mink_pairs())
+    def test_equals_array_kernel(self, pair):
+        u, v = pair
+        assert _mink_x(u, v).hex() == _mink_x_reference(u, v).hex()
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("D", [3, 40])
+    def test_zero_sums_are_positive_zero(self, zero, D):
+        u = np.full(D, zero)
+        assert _mink_x(u, np.full(D, -0.0)).hex() == _mink_x_reference(
+            u, np.full(D, -0.0)).hex() == (0.0).hex()
+
+    @pytest.mark.parametrize("nu,nv", [(3, 4), (4, 3), (32, 33), (33, 32), (40, 41)])
+    def test_lengths_differ(self, nu, nv):
+        with pytest.raises(ValueError):
+            _mink_x(np.ones(nu), np.ones(nv))
 
 
 class TestMinkRows:

@@ -41,6 +41,13 @@ class TestBuild:
         with pytest.raises(RangeLimitError):
             worst_build(0.15, 20.0)
 
+    # the replay has no radius cap of its own; every radius outside (0, inf)
+    # must still fail typed, not as ZeroDivisionError/ValueError/OverflowError
+    @pytest.mark.parametrize("r", [0.0, -5.0, np.nan, np.inf])
+    def test_replay_radius_domain(self, r):
+        with pytest.raises(DomainError):
+            highprec.worst_trajectory_report(0.1, r)
+
     def test_ladder_count_formula(self):
         inst = worst_build(0.15, 10.0)
         assert inst.d == int(np.floor(float(zeta(10.0)) / (32 * 0.15 ** 2))) == 13

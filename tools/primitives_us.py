@@ -1,0 +1,65 @@
+"""Per-call cost of the hyperboloid primitives, in µs, at several ambient sizes.
+
+    python3 tools/primitives_us.py
+
+Prints one row per primitive and one column per ambient size D = d + 1,
+each entry the best of 5 repeats of n calls (n = 2000 up to D = 65, 200
+above).  The operands are seeded: two points at radius <= 2 from the base
+point of H^d and a unit tangent at the first, so two runs time the same
+work.  ``_mink_x_rows`` is timed on 16 rows of that pair, ``sub_dist`` on
+the boundary of the half-space through the first point, and
+``HalfSpace(...)`` on a normal whose norm is already cached (the
+constructor's own checks only).  Run from anywhere; the package is
+imported from this checkout's ``src``.
+"""
+
+from __future__ import annotations
+
+import sys
+import timeit
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from hypergconv.hyperboloid import (  # noqa: E402
+    HalfSpace, _mink_x, _mink_x_rows, base_point, dist, exp, log, sub_dist)
+from hypergconv.sampling import (  # noqa: E402
+    make_rng, random_point_in_ball, random_unit_tangent)
+
+DIMS = (4, 9, 17, 33, 65, 513)
+
+
+def calls(D: int) -> dict:
+    rng = make_rng(0)
+    x = random_point_in_ball(rng, base_point(D - 1), 2.0)
+    y = random_point_in_ball(rng, base_point(D - 1), 2.0)
+    u = random_unit_tangent(rng, x)
+    rows_x, rows_y = np.tile(x.coords, (16, 1)), np.tile(y.coords, (16, 1))
+    S = HalfSpace(x, u).boundary
+    return {
+        "_mink_x": lambda: _mink_x(x.coords, y.coords),
+        "_mink_x_rows (16 rows)": lambda: _mink_x_rows(rows_x, rows_y),
+        "dist": lambda: dist(x, y),
+        "exp": lambda: exp(x, u),
+        "log": lambda: log(x, y),
+        "sub_dist": lambda: sub_dist(y, S),
+        "HalfSpace(...)": lambda: HalfSpace(x, u),
+    }
+
+
+def main() -> None:
+    table = {}
+    for D in DIMS:
+        n = 2000 if D <= 65 else 200
+        for name, f in calls(D).items():
+            best = min(timeit.repeat(f, number=n, repeat=5)) / n
+            table.setdefault(name, []).append(best * 1e6)
+    print(f"{'µs/call, best of 5':<24}" + "".join(f"{f'D={D}':>9}" for D in DIMS))
+    for name, row in table.items():
+        print(f"{name:<24}" + "".join(f"{t:9.2f}" for t in row))
+
+
+if __name__ == "__main__":
+    main()
