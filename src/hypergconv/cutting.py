@@ -44,6 +44,9 @@ __all__ = [
 N_NORMAL_SAMPLES = 512
 # The packing stops after this many consecutive rejections per accepted center.
 N_FAIL_FACTOR = 200
+# Entries of the adversary's form per block of normals: a block, its
+# absolute value and its hit mask stay in cache.
+_BLOCK_ENTRIES = 2 ** 16
 
 
 class AdversaryExhausted(RuntimeError):
@@ -73,8 +76,8 @@ class CutConfig:
     def __post_init__(self):
         if self.d < 3:
             raise DomainError("the game needs d >= 3")
-        if self.r <= 0:
-            raise DomainError("r must be positive")
+        if not (0.0 < self.r < np.inf):
+            raise DomainError(f"r must be finite and positive, got r={self.r}")
         if self.eps is None:
             object.__setattr__(self, "eps", default_eps(self.d))
         if not (0.0 < self.eps < 1.0):
@@ -248,6 +251,36 @@ def new_game(cfg: CutConfig) -> CutGameState:
     return CutGameState(cfg, _packing_coords(cfg, make_rng(cfg.seed)))
 
 
+def _fewest_hits(cand: np.ndarray, normals: np.ndarray, sh: float
+                 ) -> tuple[int, int, np.ndarray]:
+    """The normal whose slab |<c, n>| <= sh holds the fewest candidates c.
+
+    Returns its index (the first one on ties), that count and its column
+    q[:, best] of q[c, j] = <cand_c, normal_j>.  q is formed a block of
+    normals at a time, so no M x 512 array is built; every entry is the
+    same gemm and subtraction as in the whole form, so the bits are too
+    (README, "The adversary's hit count").
+    """
+    # at least 16 normals: a one-column product goes through gemv, which
+    # rounds differently
+    step = max(16, _BLOCK_ENTRIES // len(cand))
+    ones = np.ones(len(cand))
+    c0, n0 = cand[:, 0].copy(), normals[:, 0].copy()
+    best, fewest, col = 0, len(cand) + 1, None
+    for lo in range(0, len(normals), step):
+        # the normals stay the product's columns, as in the whole form; as
+        # its rows, BLAS rounds some entries differently at some M
+        q = cand[:, 1:] @ normals[lo:lo + step, 1:].T
+        # einsum writes a zero product as +0 where np.outer writes -0; with
+        # c0 >= 1 that needs n0 = -0, which the sampled normals never have
+        q -= np.einsum("i,j->ij", c0, n0[lo:lo + step])
+        hits = ones @ (np.abs(q) <= sh)  # sums of 0/1 doubles, exact
+        j = int(np.argmin(hits))
+        if hits[j] < fewest:  # strict: ties keep the first index, as argmin
+            best, fewest, col = lo + j, int(hits[j]), q[:, j].copy()
+    return best, fewest, col
+
+
 def adversary_respond(state: CutGameState, x_k: HPoint,
                       rng: np.random.Generator) -> HTangent:
     """Pick the sampled unit normal grazing the fewest candidate balls.
@@ -268,12 +301,8 @@ def adversary_respond(state: CutGameState, x_k: HPoint,
     norms = np.sqrt(np.maximum(np.einsum("ij,ij->i", raw[:, 1:], raw[:, 1:])
                                - raw[:, 0] ** 2, 1e-300))
     raw /= norms[:, None]
-    # q[c, j] = <cand_c, normal_j>; ball hit when |q| <= sinh(eps r)
-    q = state.candidates[:, 1:] @ raw[:, 1:].T - np.outer(state.candidates[:, 0], raw[:, 0])
     sh = np.sinh(cfg.ball_radius)
-    hits = (np.abs(q) <= sh).sum(axis=0)
-    best = int(np.argmin(hits))
-    col = q[:, best]
+    best, hits, col = _fewest_hits(state.candidates, raw, sh)
     surv_plus = int((col < -sh).sum())    # survivors if g = +normal
     surv_minus = int((col > sh).sum())    # survivors if g = -normal
     if max(surv_plus, surv_minus) == 0:
@@ -287,7 +316,7 @@ def adversary_respond(state: CutGameState, x_k: HPoint,
     quarter_ok = survivors >= state.n_candidates / 4.0
     state.candidates = state.candidates[keep]
     state.history.append(RoundRecord(state.round, xc.copy(), g_vec.copy(),
-                                     int(hits[best]), survivors, bool(quarter_ok)))
+                                     hits, survivors, bool(quarter_ok)))
     state.round += 1
     if not state.verify_consistency():
         raise AssertionError("survivor consistency invariant broken")

@@ -135,7 +135,10 @@ def _mink_x_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _two_products(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dekker two-products u*v = p + err along the last axis, coordinate 0
-    negated (the Minkowski sign)."""
+    negated (the Minkowski sign).  Leading axes broadcast; last axes of
+    different lengths raise ``ValueError``, as the loop's ``zip`` does."""
+    if u.shape[-1] != v.shape[-1]:
+        raise ValueError(f"lengths differ: {u.shape[-1]} vs {v.shape[-1]}")
     p = u * v
     uu = _SPLITTER * u
     uh = uu - (uu - u)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import spatial
 
 import hypergconv as hg
-from hypergconv import DomainError, base_point
+from hypergconv import DomainError, base_point, cutting
 from hypergconv.cutting import (
     N_FAIL_FACTOR,
     AdversaryExhausted,
@@ -24,6 +24,7 @@ from hypergconv.cutting import (
 from hypergconv.cutting import (
     _conflict_radius,
     _exact_conflict,
+    _fewest_hits,
     _packing_coords,
     _poincare,
 )
@@ -47,6 +48,12 @@ class TestConfig:
             CutConfig(d=2, r=1.0)
         with pytest.raises(DomainError):
             CutConfig(d=3, r=1.0, eps=1.5)
+
+    # a radius that is not finite fails here, not later in the sampler
+    @pytest.mark.parametrize("r", [np.nan, np.inf])
+    def test_radius_not_finite(self, r):
+        with pytest.raises(DomainError):
+            CutConfig(d=3, r=r)
 
 
 class TestPacking:
@@ -263,6 +270,85 @@ class TestAdversary:
         state = CutGameState(cfg, np.zeros((0, 4)))
         with pytest.raises(AdversaryExhausted):
             adversary_respond(state, base_point(3), make_rng(2))
+
+
+def dense_fewest_hits(cand, normals, sh):
+    """The hit count as it was before blocking: the whole M x 512 form at
+    once (the reference)."""
+    q = cand[:, 1:] @ normals[:, 1:].T - np.outer(cand[:, 0], normals[:, 0])
+    hits = (np.abs(q) <= sh).sum(axis=0)
+    best = int(np.argmin(hits))
+    return best, int(hits[best]), q[:, best]
+
+
+class TestBlockedHits:
+    # the workload's dense packing and normals drawn as the adversary draws
+    # them, at a query point off the center
+    cfg = CutConfig(d=3, r=4.1, eps=0.12, seed=0)
+    sh = np.sinh(cfg.ball_radius)
+
+    @pytest.fixture(scope="class")
+    def cand(self):
+        return _packing_coords(self.cfg, make_rng(0))
+
+    @pytest.fixture(scope="class")
+    def normals(self):
+        rng = make_rng(3)
+        x = random_ball_player(self.cfg)(None, rng).coords
+        raw = rng.standard_normal((cutting.N_NORMAL_SAMPLES, 4))
+        raw += (raw[:, 1:] @ x[1:] - raw[:, 0] * x[0])[:, None] * x
+        raw /= np.sqrt(np.einsum("ij,ij->i", raw[:, 1:], raw[:, 1:]) - raw[:, 0] ** 2)[:, None]
+        return raw
+
+    def assert_same(self, cand, normals, sh=sh):
+        best, hits, col = _fewest_hits(cand, normals, sh)
+        ref_best, ref_hits, ref_col = dense_fewest_hits(cand, normals, sh)
+        assert (best, hits) == (ref_best, ref_hits)
+        assert col.tobytes() == ref_col.tobytes()
+        return best, hits
+
+    # one block (M <= 128), block edges at 32 normals, and partial blocks
+    @pytest.mark.parametrize("m", [1, 31, 32, 33, 128, 129, 2047, 2048])
+    def test_equals_dense(self, cand, normals, m):
+        assert len(cand) == 2048
+        self.assert_same(cand[:m], normals)
+
+    # BLAS may round the last rows of a product apart from the rest, and a
+    # best column catches that only when it is the one returned: make each
+    # column in turn the best, the others grazing every ball
+    def test_every_column_equals_dense(self, cand, normals):
+        for j in range(0, len(normals), 17):
+            forced = normals * 1e-12
+            forced[j] = normals[j]
+            assert self.assert_same(cand[:2047], forced)[0] == j
+
+    # |q| == sinh(eps r) is a hit: at sh = 0 nothing is, so normal 0 wins and
+    # its q sets a boundary that it lies on
+    def test_boundary_is_a_hit(self, cand, normals):
+        sh = abs(dense_fewest_hits(cand[:1], normals, 0.0)[2][0])
+        assert self.assert_same(cand[:1], normals, sh)[0] > 0
+
+    @pytest.mark.parametrize("m", [33, 2048])
+    def test_duplicates_resolve_to_first(self, cand, normals, m):
+        best = dense_fewest_hits(cand[:m], normals, self.sh)[0]
+        dup = normals.copy()
+        dup[[3, 4, 500]] = normals[best]  # 500 lies in a later block
+        assert self.assert_same(cand[:m], dup)[0] == min(best, 3)
+
+    def test_nan_candidate_is_no_hit(self, cand, normals):
+        with_nan = np.insert(cand[:100], 7, np.nan, axis=0)
+        assert self.assert_same(with_nan, normals) == _fewest_hits(
+            cand[:100], normals, self.sh)[:2]
+
+    def test_workload_game_records(self, monkeypatch):
+        cfg = CutConfig(d=3, r=4.1, eps=0.12, seed=3, max_rounds=40)
+        blocked = play_game(cfg, random_ball_player(cfg)).state.history
+        monkeypatch.setattr(cutting, "_fewest_hits", dense_fewest_hits)
+        dense = play_game(cfg, random_ball_player(cfg)).state.history
+        assert len(blocked) == len(dense) == 40
+        for a, b in zip(blocked, dense):
+            assert (a.hits, a.survivors, a.quarter_ok) == (b.hits, b.survivors, b.quarter_ok)
+            assert a.g.tobytes() == b.g.tobytes()
 
 
 class TestPlayGame:

@@ -151,7 +151,8 @@ class TestMinkX:
         assert _mink_x(u, np.full(D, -0.0)).hex() == _mink_x_reference(
             u, np.full(D, -0.0)).hex() == (0.0).hex()
 
-    @pytest.mark.parametrize("nu,nv", [(3, 4), (4, 3), (32, 33), (33, 32), (40, 41)])
+    @pytest.mark.parametrize("nu,nv", [(3, 4), (4, 3), (32, 33), (33, 32), (40, 41),
+                                       (4, 1), (1, 4), (40, 1), (1, 40)])
     def test_lengths_differ(self, nu, nv):
         with pytest.raises(ValueError):
             _mink_x(np.ones(nu), np.ones(nv))
@@ -174,6 +175,22 @@ class TestMinkRows:
         u, v = rng.standard_normal((2, 30, 9)) * 1e4
         got = _mink_x_rows(u, v)
         assert [g.hex() for g in got] == [_mink_x(a, b).hex() for a, b in zip(u, v)]
+
+    # a length-1 operand must not broadcast along the last axis
+    @pytest.mark.parametrize("D", [4, 40])
+    def test_lengths_differ(self, D):
+        with pytest.raises(ValueError):
+            _mink_x_rows(np.ones((2, D)), np.ones((2, 1)))
+        with pytest.raises(ValueError):
+            _mink_x_rows(np.ones((2, 1)), np.ones(D))
+
+    # one vector against every row: the oracles' bracket and the ladder
+    # checks call it so
+    @pytest.mark.parametrize("D", [4, 40])
+    def test_vector_against_rows(self, D, rng):
+        u, v = rng.standard_normal((5, D)) * 1e3, rng.standard_normal(D)
+        got = _mink_x_rows(u, v)
+        assert [g.hex() for g in got] == [_mink_x(a, v).hex() for a in u]
 
 
 class TestPointInvariants:

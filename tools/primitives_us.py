@@ -1,16 +1,22 @@
-"""Per-call cost of the hyperboloid primitives, in µs, at several ambient sizes.
+"""Per-call cost of the hyperboloid primitives and of the cut-game adversary.
 
     python3 tools/primitives_us.py
 
 Prints one row per primitive and one column per ambient size D = d + 1,
-each entry the best of 5 repeats of n calls (n = 2000 up to D = 65, 200
-above).  The operands are seeded: two points at radius <= 2 from the base
-point of H^d and a unit tangent at the first, so two runs time the same
-work.  ``_mink_x_rows`` is timed on 16 rows of that pair, ``sub_dist`` on
-the boundary of the half-space through the first point, and
-``HalfSpace(...)`` on a normal whose norm is already cached (the
-constructor's own checks only).  Run from anywhere; the package is
-imported from this checkout's ``src``.
+each entry in µs, the best of 5 repeats of n calls (n = 2000 up to
+D = 65, 200 above).  The operands are seeded: two points at radius <= 2
+from the base point of H^d and a unit tangent at the first, so two runs
+time the same work.  ``_mink_x_rows`` is timed on 16 rows of that pair,
+``sub_dist`` on the boundary of the half-space through the first point,
+and ``HalfSpace(...)`` on a normal whose norm is already cached (the
+constructor's own checks only).
+
+A second table gives the ms/call of the cut-game adversary
+(``cutting.adversary_respond``) against the first M = 128 and 2048 centers
+of the d=3, r=4.1, eps=0.12 packing (seed 0), each call on a fresh state
+at one seeded query point; best of 5 repeats of 20 calls.
+
+Run from anywhere; the package is imported from this checkout's ``src``.
 """
 
 from __future__ import annotations
@@ -23,12 +29,15 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from hypergconv.cutting import (  # noqa: E402
+    CutConfig, CutGameState, adversary_respond, new_game)
 from hypergconv.hyperboloid import (  # noqa: E402
     HalfSpace, _mink_x, _mink_x_rows, base_point, dist, exp, log, sub_dist)
 from hypergconv.sampling import (  # noqa: E402
     make_rng, random_point_in_ball, random_unit_tangent)
 
 DIMS = (4, 9, 17, 33, 65, 513)
+CANDIDATES = (128, 2048)
 
 
 def calls(D: int) -> dict:
@@ -49,6 +58,21 @@ def calls(D: int) -> dict:
     }
 
 
+def respond_ms(m: int, n: int = 20) -> float:
+    cfg = CutConfig(d=3, r=4.1, eps=0.12, seed=0)
+    cand = new_game(cfg).candidates[:m]
+    x = random_point_in_ball(make_rng(1), base_point(3), cfg.r)
+    best = float("inf")
+    for _ in range(5):
+        states = [CutGameState(cfg, cand.copy()) for _ in range(n)]
+        rngs = [make_rng(2 + i) for i in range(n)]
+        t0 = timeit.default_timer()
+        for state, rng in zip(states, rngs):
+            adversary_respond(state, x, rng)
+        best = min(best, timeit.default_timer() - t0)
+    return best / n * 1e3
+
+
 def main() -> None:
     table = {}
     for D in DIMS:
@@ -59,6 +83,9 @@ def main() -> None:
     print(f"{'µs/call, best of 5':<24}" + "".join(f"{f'D={D}':>9}" for D in DIMS))
     for name, row in table.items():
         print(f"{name:<24}" + "".join(f"{t:9.2f}" for t in row))
+    print()
+    print(f"{'ms/call, best of 5':<24}" + "".join(f"{f'M={m}':>9}" for m in CANDIDATES))
+    print(f"{'adversary_respond':<24}" + "".join(f"{respond_ms(m):9.2f}" for m in CANDIDATES))
 
 
 if __name__ == "__main__":
