@@ -121,13 +121,18 @@ def worst_trajectory_report(eps: float, r: float) -> WorstReplayReport:
         # acosh amplifies roundoff to 10^(-DPS/2) near coincident points, so
         # the match tolerance must sit well above that floor
         ladder_tol = mpf(10) ** (-(DPS // 2 - 5))
+        # dist(y_j, y_k) >= radii[j] - radii[k] through x*, so with every
+        # radius gap above 2 ladder_tol a match at y[k] has no match before it
+        if min((a - b for a, b in zip(radii, radii[1:])), default=mp.inf) <= 2 * ladder_tol:
+            raise AssertionError("ladder radii closer than twice the match tolerance")
 
-        def answer(x):
-            for k in range(d):
-                if _dist(x, y[k]) <= ladder_tol:
-                    if k <= d - 2:
-                        return [-v / costh for v in e[k]]
-                    break
+        def answer(x, k):
+            # iterate k sits at y[k] when the run follows the ladder; any other
+            # point is answered at the first ladder point it matches
+            if _dist(x, y[k]) > ladder_tol:
+                k = next((j for j in range(d) if _dist(x, y[j]) <= ladder_tol), None)
+            if k is not None and k <= d - 2:
+                return [-v / costh for v in e[k]]
             lgx = _log(x, xs)
             dd = mp.sqrt(_mdot(lgx, lgx))
             if dd == 0:
@@ -143,7 +148,7 @@ def worst_trajectory_report(eps: float, r: float) -> WorstReplayReport:
             ss.append(s)
             if k == d - 1:
                 break
-            g = answer(x)
+            g = answer(x, k)
             gn = mp.sqrt(_mdot(g, g))
             c = min(F / (s * gn), mpf(1))
             eta_g = mp.atanh(c * mp.tanh(s))

@@ -49,6 +49,7 @@ __all__ = [
     "taper",
     "subgradient_gap",
     "midpoint_convexity_gap",
+    "sandwich_violation",
     "worst_chord_slope",
 ]
 
@@ -366,14 +367,32 @@ class MoreauEnvelope(FnOracle):
     def value(self, x):
         # hi of a tight bracket, else a candidate-based upper bound that skips
         # the gradient-grade polish
+        closed = self._closed_bracket(x)
+        if closed is not None and closed[1] - closed[0] <= BRACKET_TOL:
+            return closed[1]
+        return _prox_max_pieces(x, self.lam, self._pieces, polish=False)[1]
+
+    def bracket(self, x: HPoint) -> tuple[float, float]:
+        """(lo, hi) with lo <= f_lam(x) <= hi, from closed forms only.
+
+        An exact single-piece prox gives (v, v); a stack of one-normal pieces
+        (every game) gives ``_StackedPieces.bracket``, whose lo is certified
+        (f >= f_l gives f_lam >= (f_l)_lam) and whose hi is attained.  Any
+        other stack raises DomainError.  See README, "The sandwich from the
+        bracket".
+        """
+        closed = self._closed_bracket(x)
+        if closed is None:
+            raise DomainError("no closed-form bracket: a piece has several normals")
+        return closed
+
+    def _closed_bracket(self, x: HPoint) -> tuple[float, float] | None:
         exact = self.f.prox_pair(x, self.lam)
         if exact is not None:
-            return exact[1]
+            return exact[1], exact[1]
         if self._pieces.one_row:
-            lo, hi = self._pieces.bracket(x.coords, self.lam)
-            if hi - lo <= BRACKET_TOL:
-                return hi
-        return _prox_max_pieces(x, self.lam, self._pieces, polish=False)[1]
+            return self._pieces.bracket(x.coords, self.lam)
+        return None
 
     def _prox(self, x: HPoint) -> tuple[HPoint, float]:
         exact = self.f.prox_pair(x, self.lam)
@@ -692,6 +711,13 @@ def midpoint_convexity_gap(f: FnOracle, x: HPoint, y: HPoint) -> float:
     """Slack (f(x)+f(y))/2 - f(midpoint); nonnegative for g-convex oracles."""
     mid = exp(x, log(x, y).scaled(0.5))
     return 0.5 * (f.value(x) + f.value(y)) - f.value(mid)
+
+
+def sandwich_violation(fv: float, bracket: tuple[float, float], lam: float) -> float:
+    """max(hi - fv, (fv - lam) - lo): the violation of f - lam <= f_lam <= f at
+    a point where f = fv and lo <= f_lam <= hi.  A NaN carries through."""
+    lo, hi = bracket
+    return float(np.max([hi - fv, (fv - lam) - lo]))
 
 
 def worst_chord_slope(f: FnOracle, rng: np.random.Generator, center: HPoint,

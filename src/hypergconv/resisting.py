@@ -55,6 +55,7 @@ from .oracles import (
     ShiftedMax,
     fn_dist_sub,
     fn_moreau,
+    sandwich_violation,
 )
 from .sampling import make_rng, random_point_in_ball
 from .solvers import Trace, polyak_sgd, rgd
@@ -288,7 +289,8 @@ class SmoothGame(_GameBase):
 
     def worst_sandwich(self, rng: np.random.Generator, n: int) -> float:
         """Largest violation of f_k - lam <= env_k <= f_k (running max f_k, its
-        envelope env_k) at n volume-uniform points of B(x_k, delta/2) per query."""
+        envelope env_k) at n volume-uniform points of B(x_k, delta/2) per query,
+        decided from the envelope's closed-form bracket: no prox is solved."""
         worst = 0.0
         for k in range(self.T):
             fk = self.running_max(k)
@@ -296,9 +298,9 @@ class SmoothGame(_GameBase):
             xk = self.history[k].x
             for _ in range(n):
                 p = random_point_in_ball(rng, xk, self.delta / 2.0)
-                fv, ev = fk.value(p), env.value(p)
+                v = sandwich_violation(fk.value(p), env.bracket(p), self.lam)
                 # np.max carries a NaN through; the builtin max would drop it
-                worst = float(np.max([worst, ev - fv, (fv - self.lam) - ev]))
+                worst = float(np.max([worst, v]))
         return worst
 
     def gap_bound(self) -> float:

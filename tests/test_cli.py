@@ -52,7 +52,8 @@ def test_polyak_worst_refuses_highprec_key(tmp_path):
 
 def test_nan_envelope_value_fails_sandwich(monkeypatch):
     # np.max carries the NaN into the row; the builtin max would drop it
-    monkeypatch.setattr(oracles.MoreauEnvelope, "value", lambda self, x: float("nan"))
+    monkeypatch.setattr(oracles.MoreauEnvelope, "bracket",
+                        lambda self, x: (float("nan"), float("nan")))
     rows, _ = cli.run_zoo_validate({"d": 3, "samples": 5}, 0)
     row = next(r for r in rows if r["case"] == "moreau-sandwich")
     assert row["passed"] == "False" and row["measured"] == "nan"

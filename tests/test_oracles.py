@@ -548,12 +548,39 @@ class TestMoreauBracket:
         assert hi - lo <= BRACKET_TOL and env.value(y) == hi
         assert len(calls) == 2
 
-    def test_sandwich_rarely_solves(self, monkeypatch):
+    def test_sandwich_never_solves(self, monkeypatch):
         game = _played_smooth_game(16, 2.0)
         calls = _count_minimize(monkeypatch)
-        n = 20
-        assert game.worst_sandwich(make_rng(1), n) <= 1e-12
-        assert len(calls) < 0.3 * game.T * n
+        assert game.worst_sandwich(make_rng(1), 20) <= 1e-12
+        assert len(calls) == 0
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from([4, 8, 16]), st.sampled_from([1.0, 2.0, 5.0]),
+           st.integers(0, 15), st.integers(0, 2**32 - 1))
+    def test_bracket_inside_the_sandwich(self, T, r, k, seed):
+        # the piece attaining f(p) gives lo >= f(p) - lam/2, and p is a
+        # candidate, so hi <= f(p): the bracket certifies the sandwich at any width
+        game = _played_smooth_game(T, r)
+        k %= T
+        fk = game.running_max(k)
+        env = game._smooth(fk)
+        p = random_point_in_ball(make_rng(seed), game.history[k].x, game.delta / 2.0)
+        lo, hi = env.bracket(p)
+        fv = fk.value(p)
+        assert lo >= fv - env.lam / 2.0 - 1e-15
+        assert hi <= fv + 1e-15
+
+    def test_bracket_needs_a_closed_form(self, rng):
+        # a piece with several normals and no exact prox has no closed form
+        m = fn_shifted_max([(fn_dist_point(rand_point(rng, 3, 0.5)), 0.0),
+                            (fn_dist_point(rand_point(rng, 3, 0.5)), 0.1)])
+        env = fn_moreau(m, MoreauParams(0.2))
+        x = rand_point(rng, 3, 1.0)
+        with pytest.raises(DomainError):
+            env.bracket(x)
+        assert np.isfinite(env.value(x))
+        v = fn_moreau(fn_dist_point(x), MoreauParams(0.2)).bracket(rand_point(rng, 3, 1.0))
+        assert v[0] == v[1]
 
 
 class TestTaper:

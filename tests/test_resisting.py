@@ -266,12 +266,32 @@ class TestSmoothGame:
             def eval(self, x):
                 return float("nan"), _tangent_unchecked(x, np.full(x.coords.shape, np.nan))
 
+            def bracket(self, x):
+                return float("nan"), float("nan")
+
         game = smooth_new(2, 1.0)
         play(game, "polyak", seed=0)
         monkeypatch.setattr(game, "_smooth", lambda f: NanOracle())
         assert np.isnan(game.worst_sandwich(make_rng(0), 2))
         assert np.isnan(worst_chord_slope(NanOracle(), make_rng(0), game.xref,
                                           0.5, game.lam, 2))
+
+    @pytest.mark.parametrize("shift", [(-2.0, 0.0), (0.0, 1e-6)])
+    def test_sandwich_sees_a_bracket_outside(self, monkeypatch, shift):
+        # a bracket reaching below f - lam, or above f, is a violation
+        class FakeEnvelope:
+            def __init__(self, f):
+                self.f = f
+
+            def bracket(self, x):
+                fv = self.f.value(x)
+                return fv + shift[0] * game.lam, fv + shift[1]
+
+        game = smooth_new(4, 1.0)
+        play(game, "polyak", seed=0)
+        monkeypatch.setattr(game, "_smooth", FakeEnvelope)
+        expected = game.lam if shift[0] else 1e-6
+        assert game.worst_sandwich(make_rng(0), 3) == pytest.approx(expected, rel=1e-6)
 
     def test_sandwich_radius_in_range(self):
         # delta/2 = 1.7e-4 in dimension 128, where sinh^127 underflows to

@@ -1,4 +1,5 @@
-"""Per-call cost of the hyperboloid primitives and of the cut-game adversary.
+"""Per-call cost of the hyperboloid primitives, the cut-game adversary and
+the Moreau envelope's bracket and solve.
 
     python3 tools/primitives_us.py
 
@@ -16,11 +17,19 @@ A second table gives the ms/call of the cut-game adversary
 of the d=3, r=4.1, eps=0.12 packing (seed 0), each call on a fresh state
 at one seeded query point; best of 5 repeats of 20 calls.
 
+A third table times the Moreau envelope of a smoothed game (T=16, r=5,
+played by Polyak, seed 0) at the first seeded sandwich point, drawn in
+B(x_k, delta/2) for k = 0, 1, ... in turn, whose closed-form bracket is
+wider than ``BRACKET_TOL``: ``MoreauEnvelope.bracket`` in µs/call (best of 5
+repeats of 200 calls) and ``MoreauEnvelope.value`` there, which solves, in
+ms/call (best of 5 repeats of 5 calls).
+
 Run from anywhere; the package is imported from this checkout's ``src``.
 """
 
 from __future__ import annotations
 
+import itertools
 import sys
 import timeit
 from pathlib import Path
@@ -33,6 +42,8 @@ from hypergconv.cutting import (  # noqa: E402
     CutConfig, CutGameState, adversary_respond, new_game)
 from hypergconv.hyperboloid import (  # noqa: E402
     HalfSpace, _mink_x, _mink_x_rows, base_point, dist, exp, log, sub_dist)
+from hypergconv.oracles import BRACKET_TOL  # noqa: E402
+from hypergconv.resisting import play, smooth_new  # noqa: E402
 from hypergconv.sampling import (  # noqa: E402
     make_rng, random_point_in_ball, random_unit_tangent)
 
@@ -73,6 +84,21 @@ def respond_ms(m: int, n: int = 20) -> float:
     return best / n * 1e3
 
 
+def envelope_calls() -> tuple[float, float]:
+    game = smooth_new(16, 5.0)
+    play(game, "polyak", seed=0)
+    rng = make_rng(0)
+    for k in itertools.cycle(range(game.T)):
+        env = game._smooth(game.running_max(k))
+        p = random_point_in_ball(rng, game.history[k].x, game.delta / 2.0)
+        lo, hi = env.bracket(p)
+        if hi - lo > BRACKET_TOL:
+            break
+    bracket_us = min(timeit.repeat(lambda: env.bracket(p), number=200, repeat=5)) / 200 * 1e6
+    value_ms = min(timeit.repeat(lambda: env.value(p), number=5, repeat=5)) / 5 * 1e3
+    return bracket_us, value_ms
+
+
 def main() -> None:
     table = {}
     for D in DIMS:
@@ -86,6 +112,11 @@ def main() -> None:
     print()
     print(f"{'ms/call, best of 5':<24}" + "".join(f"{f'M={m}':>9}" for m in CANDIDATES))
     print(f"{'adversary_respond':<24}" + "".join(f"{respond_ms(m):9.2f}" for m in CANDIDATES))
+    print()
+    bracket_us, value_ms = envelope_calls()
+    print("smoothed game T=16, r=5, at a wide bracket, best of 5")
+    print(f"{'MoreauEnvelope.bracket':<24}{bracket_us:9.2f} µs/call")
+    print(f"{'MoreauEnvelope.value':<24}{value_ms:9.2f} ms/call (solves)")
 
 
 if __name__ == "__main__":
