@@ -1,8 +1,8 @@
 """The g-convex function families and their first-order oracles.
 
 Every oracle returns (value, subgradient) pairs; the demo samples the
-subgradient inequality, then smooths a kinked max with the Moreau envelope
-and shows the sandwich and smoothness certificates.
+subgradient inequality, then smooths a kinked max of hyperplane distances
+with the Moreau envelope and shows the sandwich and smoothness certificates.
 """
 
 import numpy as np
@@ -39,9 +39,13 @@ print("\nthe pseudo-affine <g, log_y(x)> is smooth but NOT g-convex:")
 pa = fn_pseudo_affine(z, random_unit_tangent(rng, z))
 print(f"  gconvex flag: {pa.gconvex}; Lipschitz = smoothness = {pa.lipschitz:.3f}")
 
-print("\n== Moreau envelope of a kinked max ==")
+print("\n== Moreau envelope of a kinked max of hyperplane distances ==")
 lam = 0.05
-m = zoo["shifted max of the above"]
+planes = []
+for c in (0.0, 0.1, 0.2):
+    a = random_point_in_ball(rng, x0, 1.0)
+    planes.append((fn_dist_sub(hg.HalfSpace(a, random_unit_tangent(rng, a)).boundary), c))
+m = fn_shifted_max(planes)
 env = fn_moreau(m, MoreauParams(lam))
 print(f"smoothing width {lam}: envelope is 1/tanh(lam) = {env.smoothness:.1f}-smooth")
 worst_lo, worst_hi = 0.0, 0.0

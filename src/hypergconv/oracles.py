@@ -338,8 +338,9 @@ class MoreauEnvelope(FnOracle):
 
     Requires f g-convex and 1-Lipschitz; the envelope is then g-convex,
     1-Lipschitz and 1/tanh(lam)-smooth with gradient -(1/lam) log_x(y*).
-    Shares its minimum value with f.  f must be a max of shifted
-    distances (``max_sub_pieces``); see README, "The Moreau prox".
+    Shares its minimum value with f.  f is either one distance with an exact
+    prox (``prox_pair``) or a max of shifted hyperplane distances
+    (``max_sub_pieces``); see README, "The Moreau prox".
     """
 
     def __init__(self, f: FnOracle, params: MoreauParams):
@@ -347,15 +348,19 @@ class MoreauEnvelope(FnOracle):
             raise DomainError("Moreau envelope requires a g-convex oracle")
         if f.lipschitz is None or f.lipschitz > 1.0 + 1e-12:
             raise DomainError("Moreau envelope requires lipschitz <= 1 metadata")
-        pieces = f.max_sub_pieces()
-        if pieces is None:
-            raise DomainError("Moreau envelope requires a max of shifted distances")
         self.f = f
         self.lam = params.lam
         self.lipschitz = min(1.0, f.lipschitz)
         self.smoothness = 1.0 / np.tanh(params.lam)
         self.fmin = f.fmin
-        self._pieces = _StackedPieces(pieces)
+        # an exact prox needs no stack; anything else (a one-part max too) is
+        # solved over its pieces
+        self._pieces = None
+        if type(f).prox_pair is FnOracle.prox_pair:
+            pieces = f.max_sub_pieces()
+            if pieces is None:
+                raise DomainError("Moreau envelope requires a max of shifted distances")
+            self._pieces = _StackedPieces(pieces)
 
     def prox_point(self, x: HPoint) -> HPoint:
         return self._prox(x)[0]
@@ -367,42 +372,32 @@ class MoreauEnvelope(FnOracle):
     def value(self, x):
         # hi of a tight bracket, else a candidate-based upper bound that skips
         # the gradient-grade polish
-        closed = self._closed_bracket(x)
-        if closed is not None and closed[1] - closed[0] <= BRACKET_TOL:
-            return closed[1]
+        lo, hi = self.bracket(x)
+        if hi - lo <= BRACKET_TOL:
+            return hi
         return _prox_max_pieces(x, self.lam, self._pieces, polish=False)[1]
 
     def bracket(self, x: HPoint) -> tuple[float, float]:
         """(lo, hi) with lo <= f_lam(x) <= hi, from closed forms only.
 
-        An exact single-piece prox gives (v, v); a stack of one-normal pieces
-        (every game) gives ``_StackedPieces.bracket``, whose lo is certified
-        (f >= f_l gives f_lam >= (f_l)_lam) and whose hi is attained.  Any
-        other stack raises DomainError.  See README, "The sandwich from the
-        bracket".
+        An exact prox gives (v, v); a stack of hyperplane pieces (every game)
+        gives ``_StackedPieces.bracket``, whose lo is certified (f >= f_l
+        gives f_lam >= (f_l)_lam) and whose hi is attained.  See README,
+        "The sandwich from the bracket".
         """
-        closed = self._closed_bracket(x)
-        if closed is None:
-            raise DomainError("no closed-form bracket: a piece has several normals")
-        return closed
-
-    def _closed_bracket(self, x: HPoint) -> tuple[float, float] | None:
-        exact = self.f.prox_pair(x, self.lam)
-        if exact is not None:
-            return exact[1], exact[1]
-        if self._pieces.one_row:
-            return self._pieces.bracket(x.coords, self.lam)
-        return None
+        if self._pieces is None:
+            v = self.f.prox_pair(x, self.lam)[1]
+            return v, v
+        return self._pieces.bracket(x.coords, self.lam)
 
     def _prox(self, x: HPoint) -> tuple[HPoint, float]:
-        exact = self.f.prox_pair(x, self.lam)
-        if exact is not None:
-            return exact
+        if self._pieces is None:
+            return self.f.prox_pair(x, self.lam)
         return _prox_max_pieces(x, self.lam, self._pieces)
 
 
 def fn_moreau(f: FnOracle, p: MoreauParams) -> MoreauEnvelope:
-    """Moreau smoothing of a 1-Lipschitz g-convex max of shifted distances."""
+    """Moreau smoothing of one distance or a max of shifted hyperplane distances."""
     return MoreauEnvelope(f, p)
 
 
@@ -421,34 +416,24 @@ def _tangent_frame(x: HPoint) -> np.ndarray:
 
 
 class _StackedPieces:
-    """f = max_l { dist(., S_l) - c_l }, every normal row of every piece stacked.
+    """f = max_l { dist(., S_l) - c_l } over hyperplanes S_l, their unit normals stacked.
 
-    ``N @ y`` gives the Minkowski products q of y with all normals (rows times
-    J = diag(-1, 1, ..., 1)); ``owner[j]`` is the piece of row j and P[l, j] = 1
-    when row j belongs to piece l, so dist(y, S_l) = arcsinh sqrt((P @ q**2)_l).
-    When every piece has one row (``one_row``, every resisting game) P is the
-    identity and is not formed.
+    ``N @ y`` gives the Minkowski products q of y with the normals (rows times
+    J = diag(-1, 1, ..., 1)), so dist(y, S_l) = arcsinh |q_l|.  A piece with
+    several normals (a point, a sub of codimension > 1) raises DomainError.
     """
 
     def __init__(self, pieces: list[tuple[TotallyGeodesicSub, float]]):
+        if any(len(S.normals) != 1 for S, _ in pieces):
+            raise DomainError("Moreau envelope of a max needs hyperplane pieces")
         self.pieces = pieces
-        rows = [S.normals for S, _ in pieces]
-        self.J = np.where(np.arange(rows[0].shape[1]) == 0, -1.0, 1.0)
-        self.normals = np.vstack(rows)
+        self.normals = np.vstack([S.normals for S, _ in pieces])
+        self.J = np.where(np.arange(self.normals.shape[1]) == 0, -1.0, 1.0)
         self.N = self.normals * self.J
-        owner = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
-        self.one_row = len(owner) == len(rows)
-        self.P = None if self.one_row else \
-            (owner == np.arange(len(rows))[:, None]).astype(float)
-        self.blocks = [self.N[owner == l] for l in range(len(rows))]
         self.cs = np.array([c for _, c in pieces])
 
-    def per_piece(self, v: np.ndarray) -> np.ndarray:
-        """P @ v: the rows of v summed into their pieces."""
-        return v if self.P is None else self.P @ v
-
     def values(self, y: np.ndarray) -> np.ndarray:
-        return np.arcsinh(np.sqrt(self.per_piece((self.N @ y) ** 2))) - self.cs
+        return np.arcsinh(np.abs(self.N @ y)) - self.cs
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -456,7 +441,7 @@ class _StackedPieces:
         return self.N @ self.normals.T
 
     def bracket(self, x: np.ndarray, lam: float) -> tuple[float, float]:
-        """(lo, hi) around the envelope value at x; needs ``one_row``.
+        """(lo, hi) around the envelope value at x.
 
         lo is the largest single-piece envelope, since f >= f_l.  hi is the
         best of x and the single-piece proxes y_l, each at distance
@@ -554,13 +539,13 @@ def _prox_max_pieces(x: HPoint, lam: float, sp: _StackedPieces,
         return np.concatenate([z[:-1] / lam, [1.0]])
 
     def constraints(z):
-        cons = np.sinh(z[-1] + cs) ** 2 - sp.per_piece(_prep(z)["q"] ** 2)
+        cons = np.sinh(z[-1] + cs) ** 2 - _prep(z)["q"] ** 2
         return np.concatenate([cons, [lam * lam - float(z[:-1] @ z[:-1])]])
 
     def constraints_jac(z):
         st = _prep(z)
         Jm = np.zeros((len(cs) + 1, z.size))
-        Jm[:-1, :-1] = -2.0 * sp.per_piece(st["q"][:, None] * (N @ st["dy"]))
+        Jm[:-1, :-1] = -2.0 * st["q"][:, None] * (N @ st["dy"])
         Jm[:-1, -1] = np.sinh(2.0 * (z[-1] + cs))
         Jm[-1, :-1] = -2.0 * z[:-1]
         return Jm
@@ -619,7 +604,7 @@ def _polish_active_set(y_start: np.ndarray, prob: _ProxProblem):
         y, dy = prob.chart(u)
         vlist, glist = [], []
         for i in active:
-            A, c = sp.blocks[i], sp.cs[i]
+            A, c = sp.N[i:i + 1], sp.cs[i]
             q = A @ y
             nq = np.linalg.norm(q)
             vlist.append(np.arcsinh(nq) - c)
@@ -651,8 +636,8 @@ def _polish_active_set(y_start: np.ndarray, prob: _ProxProblem):
     if np.linalg.norm(u) > lam * (1.0 + 1e-8):
         return None
     y, _ = prob.chart(u)
-    vlist = np.array([np.arcsinh(np.linalg.norm(A @ y)) - c
-                      for A, c in zip(sp.blocks, sp.cs)])
+    vlist = np.array([np.arcsinh(np.linalg.norm(sp.N[i:i + 1] @ y)) - c
+                      for i, c in enumerate(sp.cs)])
     t_new = np.max(vlist[active])
     if np.max(vlist) > t_new + 1e-8:
         return None

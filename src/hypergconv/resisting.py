@@ -145,8 +145,9 @@ class _GameBase:
     S_i^s passes through z_i^s = exp(x_ref, s a e_i), orthogonal to the
     geodesic back to x_ref; swapping coordinates 1 and i maps S_1^s onto it.
     The game builds only S_1^+ and S_1^- and keeps the coordinates 0 and 1
-    of each one's anchor and unit normal (see README).  S_i^s itself is built
-    once, when (i, s) is chosen, inside the part that every running max shares.
+    of each one's anchor and unit normal (see README, "Evaluating a max").
+    S_i^s itself is built once, when (i, s) is chosen, inside the part that
+    every running max shares.
     """
 
     def __init__(self, T: int, r: float):
@@ -627,7 +628,8 @@ def _max_abs_diff(xs, ys) -> float:
 def worst_trajectory_report(eps: float, r: float) -> WorstReplayReport:
     """Build the instance, run Polyak descent from the first ladder point and
     measure its deviations from the ladder in float64 (r <= 14; the mpmath
-    twin is ``highprec.worst_trajectory_report``, see README)."""
+    twin is ``highprec.worst_trajectory_report``, see README, "The
+    worst-function ladder: r ≤ 14 in float64, highprec beyond 10")."""
     inst = worst_build(eps, r)
     trace = polyak_sgd(worst_oracle(inst), fstar=0.0, x0=inst.ladder[0],
                        s0=inst.r, T=inst.T)

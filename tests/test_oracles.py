@@ -374,20 +374,24 @@ class TestMoreau:
             assert np.allclose(g.vec, log(x, y).scaled(-1.0 / lam).vec, atol=1e-9)
 
     def _pieces_instance(self, rng, kind, n=4, d=6):
-        # "hyperplanes": one normal per piece; "mixed": every other piece is
-        # the distance to a point, which has d normals
+        # "hyperplanes": a flat max of hyperplane distances; "nested": every
+        # other part is itself a max of two hyperplane distances
         x0 = base_point(d)
+
+        def part():
+            anchor = exp(x0, rand_unit(rng, x0).scaled(0.4 * rng.uniform()))
+            S = HalfSpace(anchor, rand_unit(rng, anchor)).boundary
+            return fn_dist_sub(S, 0.1 * rng.uniform())
+
         parts = []
         for k in range(n):
-            anchor = exp(x0, rand_unit(rng, x0).scaled(0.4 * rng.uniform()))
-            if kind == "mixed" and k % 2 == 0:
-                parts.append((fn_dist_point(anchor), 0.02 * k))
-                continue
-            S = HalfSpace(anchor, rand_unit(rng, anchor)).boundary
-            parts.append((fn_dist_sub(S, 0.1 * rng.uniform()), 0.02 * k))
+            if kind == "nested" and k % 2 == 0:
+                parts.append((fn_shifted_max([(part(), 0.0), (part(), 0.03)]), 0.02 * k))
+            else:
+                parts.append((part(), 0.02 * k))
         return x0, fn_shifted_max(parts)
 
-    @pytest.mark.parametrize("kind", ["hyperplanes", "mixed"])
+    @pytest.mark.parametrize("kind", ["hyperplanes", "nested"])
     def test_max_pieces_prox_beats_brute_force(self, rng, kind):
         x0, m = self._pieces_instance(rng, kind)
         lam = 2e-3
@@ -403,10 +407,10 @@ class TestMoreau:
             assert v <= best + 1e-12
             assert v >= m.value(x) - lam - 1e-12
 
-    @pytest.mark.parametrize("kind", ["hyperplanes", "mixed"])
+    @pytest.mark.parametrize("kind", ["hyperplanes", "nested"])
     def test_stacked_values_match_per_piece_loop(self, rng, kind):
-        # bit for bit with one normal per piece; with several, the per-piece
-        # sums of squares add in another order
+        # the stacked product rounds differently from a per-piece one; the
+        # hyperplane form arcsinh|q| keeps the bits of arcsinh(sqrt(q**2))
         x0, m = self._pieces_instance(rng, kind)
         pieces = m.max_sub_pieces()
         stacked = _StackedPieces(pieces)
@@ -417,11 +421,11 @@ class TestMoreau:
             ref = np.array([np.arcsinh(np.linalg.norm((S.normals * J) @ y)) - c
                             for S, c in pieces])
             got = stacked.values(y)
-            if kind == "hyperplanes":
-                assert np.array_equal(got, np.arcsinh(np.abs(stacked.N @ y)) - stacked.cs)
+            assert np.array_equal(
+                got, np.arcsinh(np.sqrt((stacked.N @ y) ** 2)) - stacked.cs)
             assert np.allclose(got, ref, rtol=0.0, atol=8 * np.finfo(float).eps)
 
-    @pytest.mark.parametrize("kind", ["hyperplanes", "mixed"])
+    @pytest.mark.parametrize("kind", ["hyperplanes", "nested"])
     def test_chord_gradient_lipschitz(self, rng, kind):
         x0, m = self._pieces_instance(rng, kind)
         lam = 2e-3
@@ -475,13 +479,13 @@ class TestMoreau:
     def test_max_of_maxes_matches_flat_max(self, rng):
         # a max of maxes of shifted distances is itself one: its envelope
         # equals that of the flat max over the same pieces
-        z1, z2, a = (rand_point(rng, 3, 0.8) for _ in range(3))
-        H = HalfSpace(a, rand_unit(rng, a)).boundary
-        inner = fn_shifted_max([(fn_dist_point(z1), 0.1), (fn_dist_sub(H), 0.2)])
-        nested = fn_shifted_max([(inner, 0.3), (fn_dist_point(z2), 0.05)])
-        flat = fn_shifted_max([(fn_dist_point(z1), 0.1 + 0.3),
-                               (fn_dist_sub(H), 0.2 + 0.3),
-                               (fn_dist_point(z2), 0.05)])
+        H1, H2, H3 = (HalfSpace(a, rand_unit(rng, a)).boundary
+                      for a in (rand_point(rng, 3, 0.8) for _ in range(3)))
+        inner = fn_shifted_max([(fn_dist_sub(H1), 0.1), (fn_dist_sub(H2), 0.2)])
+        nested = fn_shifted_max([(inner, 0.3), (fn_dist_sub(H3), 0.05)])
+        flat = fn_shifted_max([(fn_dist_sub(H1), 0.1 + 0.3),
+                               (fn_dist_sub(H2), 0.2 + 0.3),
+                               (fn_dist_sub(H3), 0.05)])
         env_nested = fn_moreau(nested, MoreauParams(0.3))
         env_flat = fn_moreau(flat, MoreauParams(0.3))
         for _ in range(10):
@@ -570,17 +574,45 @@ class TestMoreauBracket:
         assert lo >= fv - env.lam / 2.0 - 1e-15
         assert hi <= fv + 1e-15
 
-    def test_bracket_needs_a_closed_form(self, rng):
-        # a piece with several normals and no exact prox has no closed form
-        m = fn_shifted_max([(fn_dist_point(rand_point(rng, 3, 0.5)), 0.0),
-                            (fn_dist_point(rand_point(rng, 3, 0.5)), 0.1)])
-        env = fn_moreau(m, MoreauParams(0.2))
+    def test_refuses_multi_normal_pieces(self, rng):
+        # a point inside a max, flat or nested, has d normals and no closed-form
+        # bracket: the envelope refuses it when built; alone it has an exact prox
+        a = rand_point(rng, 3, 0.5)
+        plane = fn_dist_sub(HalfSpace(a, rand_unit(rng, a)).boundary)
+        point = fn_dist_point(rand_point(rng, 3, 0.5))
+        for m in (fn_shifted_max([(plane, 0.0), (point, 0.1)]),
+                  fn_shifted_max([(plane, 0.0), (fn_shifted_max([(point, 0.1)]), 0.0)]),
+                  fn_shifted_max([(point, 0.0)])):
+            with pytest.raises(DomainError):
+                fn_moreau(m, MoreauParams(0.2))
+        env = fn_moreau(point, MoreauParams(0.2))
         x = rand_point(rng, 3, 1.0)
-        with pytest.raises(DomainError):
-            env.bracket(x)
-        assert np.isfinite(env.value(x))
-        v = fn_moreau(fn_dist_point(x), MoreauParams(0.2)).bracket(rand_point(rng, 3, 1.0))
-        assert v[0] == v[1]
+        lo, hi = env.bracket(x)
+        assert lo == hi == env.value(x)
+
+    @pytest.mark.parametrize("T,r", [(8, 2.0), (8, 5.0), (16, 2.0), (16, 5.0)])
+    def test_values_keep_the_square_root_form(self, T, r):
+        # on normal-range doubles sqrt(fl(q*q)) == |q|, so arcsinh|q| has the
+        # bits of arcsinh(sqrt(q**2)) at every iterate and a point sampled
+        # near each, as the sandwich samples
+        game = _played_smooth_game(T, r)
+        sp = game._smooth(game.running_max(T - 1))._pieces
+        rng = make_rng(1)
+        ys = [s.x.coords for s in game.history] + [
+            random_point_in_ball(rng, s.x, game.delta / 2.0).coords for s in game.history]
+        for y in ys:
+            old = np.arcsinh(np.sqrt((sp.N @ y) ** 2)) - sp.cs
+            assert sp.values(y).tobytes() == old.tobytes()
+
+    def test_values_exact_where_the_square_underflows(self):
+        # below 2**-511 the square is subnormal and loses bits (and is 0 below
+        # about 2**-537); |q| does not, and arcsinh of a tiny q is q itself
+        x0 = base_point(3)
+        sp = _StackedPieces([(HalfSpace(x0, frame_at_base(3)[0]).boundary, 0.0)])
+        for q in (1.2345e-158, 1e-170):
+            y = np.array([1.0, q, 0.0, 0.0])
+            assert sp.values(y)[0] == q
+            assert np.arcsinh(np.sqrt((sp.N @ y) ** 2))[0] != q
 
 
 class TestTaper:
