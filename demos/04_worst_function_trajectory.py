@@ -30,7 +30,7 @@ rep = a2_check(inst, trace)
 print(f"span condition (queries stay in the revealed span): {rep.a1_all}")
 print(f"half-space condition (queries stay feasible):       {rep.a2_all}")
 
-print("\n== radius 20 needs extended precision (see README numerics) ==")
+print('\n== radius 20 needs extended precision (README, "Why radius costs precision") ==')
 hp = worst_trajectory_report(eps, 20.0)
 print(f"d = {hp.d}; trajectory deviation {hp.max_ladder_dist:.1e}; "
       f"min gap {hp.min_gap:.3f} >= 10")

@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import spatial, special
 
 from .hyperboloid import DomainError, HPoint, HTangent, base_point
 from .sampling import ball_radius_sampler, make_rng
@@ -195,8 +194,9 @@ def _old_conflicts(pts: np.ndarray, old: np.ndarray, min_cosh: float) -> np.ndar
     """
     if not len(old):
         return np.zeros(len(pts), dtype=bool)
+    from scipy.spatial import cKDTree  # README, "Import cost"
     u = _poincare(pts)
-    tree = spatial.cKDTree(_poincare(old))
+    tree = cKDTree(_poincare(old))
     nearest = tree.query(u, k=1)[1]
     conflict = _exact_conflict(pts, old[nearest], min_cosh)
     rest = np.flatnonzero(~conflict)
@@ -353,7 +353,8 @@ def volume_ball(d: int, r: float) -> float:
         raise DomainError("radius must be nonnegative")
     if r == 0.0:
         return 0.0
-    omega = np.pi ** (d / 2.0) / special.gamma(d / 2.0 + 1.0)
+    from scipy.special import gamma  # not math.gamma: README, "Import cost"
+    omega = np.pi ** (d / 2.0) / gamma(d / 2.0 + 1.0)
     return omega * _adaptive_simpson(lambda t: np.sinh(t) ** (d - 1), 0.0, r, 1e-8)
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import optimize
 
 from .hyperboloid import (
     R_MAX,
@@ -57,6 +56,25 @@ logger = logging.getLogger(__name__)
 
 # Two parts of a max within this of each other count as a tie.
 TIE_TOL = 1e-12
+
+
+def _optimize():
+    """``scipy.optimize``, imported on its first use (README, "Import cost").
+
+    The import binds the module global ``optimize``; rebinding that global
+    redirects every prox solve.
+    """
+    global optimize
+    if "optimize" not in globals():
+        from scipy import optimize
+    return optimize
+
+
+def __getattr__(name):
+    if name == "optimize":
+        return _optimize()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # A Moreau value query answers from its closed-form bracket (lo, hi) when
 # hi - lo is at most this (see README, "The Moreau prox").
@@ -550,7 +568,7 @@ def _prox_max_pieces(x: HPoint, lam: float, sp: _StackedPieces,
         Jm[-1, :-1] = -2.0 * z[:-1]
         return Jm
 
-    res = optimize.minimize(
+    res = _optimize().minimize(
         objective, np.concatenate([u0, [t0]]), method="SLSQP",
         jac=objective_jac,
         constraints=[{"type": "ineq", "fun": constraints, "jac": constraints_jac}],
@@ -626,7 +644,7 @@ def _polish_active_set(y_start: np.ndarray, prob: _ProxProblem):
         return np.concatenate([stat, eq])
 
     z0 = np.concatenate([prob.coords(y_start), np.full(m - 1, 1.0 / m)])
-    sol = optimize.root(residual, z0, method="hybr", tol=1e-13)
+    sol = _optimize().root(residual, z0, method="hybr", tol=1e-13)
     if not sol.success and np.linalg.norm(sol.fun) > 1e-9:
         return None
     u = sol.x[:d]

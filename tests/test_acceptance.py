@@ -3,7 +3,7 @@ asserting its stated tolerances and runtime budget.
 
 Number 4 runs the float64 path at r=10 and the high-precision replay at r=20:
 radius-20 hyperboloid coordinates are not representable in doubles (the sheet
-sits within one ulp of the light cone), see README numerical notes.
+sits within one ulp of the light cone); see README, "Why radius costs precision".
 """
 
 import csv
@@ -48,7 +48,7 @@ def report(n, label, elapsed, budget):
 def test_criterion_1_manifold_identities():
     # 1000 randomized cases per identity, spread over d in {2, 5, 10};
     # tolerances as stated per op, over the float64-certified ranges
-    # (see README numerical notes)
+    # (README, "Why radius costs precision")
     t0 = time.perf_counter()
     for d in (2, 5, 10):
         rng = make_rng(100 + d)

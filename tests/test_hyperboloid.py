@@ -268,7 +268,8 @@ class TestExpLog:
 
     # Lorentz coordinates floor positional scatter at eps*cosh(rho)^2 for
     # points at radius rho from the chart center, so the stated tolerances
-    # are certified over the largest ranges doubles support (see README).
+    # are certified over the largest ranges doubles support (README, "Why
+    # radius costs precision").
     @pytest.mark.parametrize("d", [2, 5, 10])
     def test_roundtrips(self, d):
         rng = make_rng(11 + d)
@@ -315,7 +316,8 @@ def point_and_tangent(draw, radius, length):
 
 
 class TestCertifiedRanges:
-    # the README's float64-certified ranges and tolerances, as stated there
+    # the float64-certified ranges and tolerances of README, "Why radius
+    # costs precision"
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(point_and_tangent(1.0, 8.5))
     def test_log_exp_roundtrip(self, case):
