@@ -4,20 +4,22 @@ Hyperboloid coordinates at radius r carry cosh(r)-scale entries, and the
 bilinear forms of the worst-function fan cancel pairs of them, so double
 precision loses roughly 2 r / ln(10) digits: exact-trajectory certificates at
 r = 20 are out of reach of float64 no matter how the forms are evaluated.
-This module replays the construction and the Polyak recursion with mpmath
-reals and reports the measured deviations, which the float64 implementation
-is cross-checked against at small radii.
+This module builds the ladder through ``resisting._ladder`` in mpmath reals,
+replays the Polyak recursion on it and reports the measured deviations, which
+the float64 implementation is cross-checked against at small radii.
 
-Only the pieces the replay needs are implemented (the construction is all
-closed-form); the general-purpose float64 API lives in ``resisting``.
+Only the forms the replay needs are implemented; the general-purpose float64
+API lives in ``resisting``.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 from mpmath import libmp, mp, mpf
 
-from .resisting import WorstReplayReport, _ladder_size, _max_abs_diff
+from . import resisting
 
 __all__ = ["worst_trajectory_report"]
 
@@ -68,47 +70,35 @@ def _log(x, y):
     return [wi * d / nw for wi in w]
 
 
-def worst_trajectory_report(eps: float, r: float) -> WorstReplayReport:
+def _unit_log(x, y):
+    lg = np.array(_log(x, y), dtype=object)
+    dd = mp.sqrt(_mdot(lg, lg))
+    return lg / dd if dd else lg
+
+
+def worst_trajectory_report(eps: float, r: float) -> resisting.WorstReplayReport:
     """Build the instance, run Polyak subgradient descent, measure deviations.
 
     The subgradient at the k-th ladder point is the committed answer
     -e_{k+1}/cos(theta); the run should reproduce the ladder exactly, with
     the certified radius matching the ladder radius and each step length
-    matching the ladder edge.  Step k of the construction turns only axis
-    k-1, so the vector read at step k, at the k-th answer and at x* is always
-    the untouched axis e[k]; like ``resisting.worst_build``, the replay never
-    transports a frame, and it reads the axes directly.
+    matching the ladder edge.  Step k of the construction turns only the
+    frame vector that starts as e[k], so step k, the k-th answer (e[k+1]) and
+    x* (e[d]) read untouched identity rows; like ``resisting.worst_build``,
+    the replay never transports a frame.
     """
-    d = _ladder_size(eps, r)
+    d = resisting._ladder_size(eps, r)
     with mp.workdps(DPS):
         costh = 4 * mpf(repr(eps))
-        rr = mpf(repr(r))
         sinth = mp.sqrt(1 - costh * costh)
-        D = d + 1
-
-        e = [[mpf(1 if i == j + 1 else 0) for i in range(D)] for j in range(d)]
-        y = [[mpf(1 if i == 0 else 0) for i in range(D)]]
-        radii = [rr]
-        deltas = []
-        for k in range(1, d):
-            delta = mp.atanh(costh * mp.tanh(radii[k - 1]))
-            rk = mp.asinh(sinth * mp.sinh(radii[k - 1]))
-            deltas.append(delta)
-            radii.append(rk)
-            c, s = mp.cosh(delta), mp.sinh(delta)
-            y.append([c * a + s * b for a, b in zip(y[k - 1], e[k - 1])])
-
-        xs = [mp.cosh(radii[-1]) * a + mp.sinh(radii[-1]) * b
-              for a, b in zip(y[-1], e[d - 1])]
-
-        # unit inward normals of the committed half-spaces at each ladder point
-        normals = []
-        for k in range(d - 1):
-            lg = _log(y[k], xs)
-            dk = mp.sqrt(_mdot(lg, lg))
-            V = [a / costh - b / dk for a, b in zip(e[k], lg)]
-            nV = mp.sqrt(_mdot(V, V))
-            normals.append([v / nV for v in V])
+        e = np.vectorize(mpf, otypes=[object])(np.eye(d + 1))
+        ar = SimpleNamespace(
+            costh=costh, cosh=mp.cosh, sinh=mp.sinh, point=lambda v: v,
+            triangle=lambda rk: (mp.atanh(costh * mp.tanh(rk)),
+                                 mp.asinh(sinth * mp.sinh(rk))),
+            log=_unit_log, fan=lambda V: V / mp.sqrt(_mdot(V, V)))
+        radii, deltas, y, xs, normals = resisting._ladder(
+            ar, e, mpf(repr(r)), d, +1)
 
         def value(x):
             term = mpf(0)
@@ -132,14 +122,10 @@ def worst_trajectory_report(eps: float, r: float) -> WorstReplayReport:
             if _dist(x, y[k]) > ladder_tol:
                 k = next((j for j in range(d) if _dist(x, y[j]) <= ladder_tol), None)
             if k is not None and k <= d - 2:
-                return [-v / costh for v in e[k]]
-            lgx = _log(x, xs)
-            dd = mp.sqrt(_mdot(lgx, lgx))
-            if dd == 0:
-                return [mpf(0)] * len(x)
-            return [-v / dd for v in lgx]
+                return [-v / costh for v in e[k + 1]]
+            return -_unit_log(x, xs)
 
-        x, s = list(y[0]), rr
+        x, s = list(y[0]), radii[0]
         iterates = [list(x)]
         gaps, ss, etas = [], [], []
         for k in range(d):
@@ -159,16 +145,6 @@ def worst_trajectory_report(eps: float, r: float) -> WorstReplayReport:
             s = mp.asinh(mp.sqrt(max(1 - c * c, mpf(0))) * mp.sinh(s))
             iterates.append(list(x))
 
-        fgaps = [float(g) for g in gaps]
-        return WorstReplayReport(
-            d=d,
-            M=float(2 / costh),
-            gaps=fgaps,
-            radii=[float(rk) for rk in radii],
-            max_ladder_dist=float(np.max([float(_dist(a, yk))
-                                          for a, yk in zip(iterates, y)])),
-            max_radius_err=_max_abs_diff(ss, radii),
-            max_step_err=_max_abs_diff(etas, deltas),
-            max_gap_err=_max_abs_diff(gaps, radii),
-            min_gap=float(np.min(fgaps)),
-        )
+        return resisting._replay_report(
+            d, 2 / costh, radii, deltas, gaps, ss, etas,
+            [_dist(a, yk) for a, yk in zip(iterates, y)])

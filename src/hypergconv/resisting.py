@@ -20,6 +20,7 @@ import json
 import logging
 from itertools import product
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -442,6 +443,23 @@ def _ladder_size(eps: float, r: float) -> int:
     return d
 
 
+def _ladder(ar, e, r, d: int, pick: int):
+    """Radii, deltas, ladder points, x* and unit fan normals of the worst
+    function, from the identity rows ``e`` in the arithmetic ``ar``: its log
+    is the unit direction of log_x(y), point returns to the hyperboloid and
+    fan scales to unit norm.  Arrays stay on the left of every product: an
+    mpf on the left first tries to convert the whole array."""
+    radii, deltas, y = [r], [], [ar.point(e[0])]
+    for k in range(1, d):
+        delta, rk = ar.triangle(radii[k - 1])
+        deltas.append(delta)
+        radii.append(rk)
+        y.append(ar.point(y[k - 1] * ar.cosh(delta) + e[k] * ar.sinh(delta)))
+    xs = ar.point(y[-1] * ar.cosh(radii[-1]) + e[d] * (pick * ar.sinh(radii[-1])))
+    normals = [ar.fan(e[k + 1] / ar.costh - ar.log(y[k], xs)) for k in range(d - 1)]
+    return radii, deltas, y, xs, normals
+
+
 def worst_build(eps: float, r: float, pick: int = +1) -> WorstInstance:
     """Build the worst-function geometry for accuracy eps and radius r.
 
@@ -464,35 +482,32 @@ def worst_build(eps: float, r: float, pick: int = +1) -> WorstInstance:
     costh = 4.0 * eps
     theta = float(np.arccos(costh))
 
-    D = d + 1
-    y = [base_point(d)]
-    radii = [float(r)]
-    deltas: list[float] = []
-    axes = np.eye(d, D, 1)
-    for k in range(1, d):
-        delta, rk = right_triangle(radii[k - 1], theta)
-        deltas.append(delta)
-        radii.append(rk)
-        yk = np.cosh(delta) * y[k - 1].coords + np.sinh(delta) * axes[k - 1]
-        axes[k - 1] = np.sinh(delta) * y[k - 1].coords + np.cosh(delta) * axes[k - 1]
-        y.append(HPoint(yk / np.sqrt(-_mink_x(yk, yk))))
+    def unit_log(x, y):
+        lg = log(_point_unchecked(x), _point_unchecked(y))
+        return lg.vec / lg.norm
 
-    xs = np.cosh(radii[-1]) * y[-1].coords + pick * np.sinh(radii[-1]) * axes[d - 1]
-    xstar = HPoint(xs / np.sqrt(-_mink_x(xs, xs)))
-
-    halfspaces = []
-    for k in range(d - 1):
-        lg = log(y[k], xstar)
-        dk = lg.norm
-        V = np.eye(1, D, k + 1)[0] / costh - lg.vec / dk
+    def fan(V):
         nV = np.sqrt(max(_mink_x(V, V), 0.0))
         if abs(nV - np.tan(theta)) > 1e-6 * max(1.0, np.tan(theta)):
             raise GeometryViolation("half-space normal norm deviates from tan(theta)")
-        halfspaces.append(HalfSpace(y[k], _rebase(y[k], V / nV)))
+        return V / nV
 
+    # point normalizes once before HPoint normalizes again, as the ladder
+    # always has: the pinned build bytes and replay errors depend on both
+    ar = SimpleNamespace(
+        costh=costh, cosh=np.cosh, sinh=np.sinh, log=unit_log, fan=fan,
+        triangle=lambda r0: right_triangle(r0, theta),
+        point=lambda v: HPoint(v / np.sqrt(-_mink_x(v, v))).coords)
+    radii, deltas, ys, xs, normals = _ladder(ar, np.eye(d + 1), float(r), d, pick)
+    y = [_point_unchecked(c) for c in ys]
+    axes = np.eye(d, d + 1, 1)
+    for k, delta in enumerate(deltas):
+        axes[k] = np.sinh(delta) * ys[k] + np.cosh(delta) * axes[k]
+
+    halfspaces = [HalfSpace(yk, _rebase(yk, n)) for yk, n in zip(y, normals)]
     inst = WorstInstance(theta=theta, eps=eps, r=float(r), d=d, M=2.0 / costh,
                          ladder=y, radii=radii, deltas=deltas, axes=axes,
-                         xstar=xstar, halfspaces=halfspaces)
+                         xstar=_point_unchecked(xs), halfspaces=halfspaces)
     _verify_instance(inst)
     return inst
 
@@ -625,6 +640,19 @@ def _max_abs_diff(xs, ys) -> float:
     return float(np.max([float(abs(a - b)) for a, b in zip(xs, ys)]))
 
 
+def _replay_report(d, M, radii, deltas, gaps, ss, etas, ladder_dists) -> WorstReplayReport:
+    """A replay's gaps, radii ss, steps etas and ladder distances (float or mpf)."""
+    fgaps = [float(g) for g in gaps]
+    return WorstReplayReport(
+        d=d, M=float(M), gaps=fgaps, radii=[float(rk) for rk in radii],
+        max_ladder_dist=float(np.max([float(t) for t in ladder_dists])),
+        max_radius_err=_max_abs_diff(ss, radii),
+        max_step_err=_max_abs_diff(etas, deltas),
+        max_gap_err=_max_abs_diff(gaps, radii),
+        min_gap=float(np.min(fgaps)),
+    )
+
+
 def worst_trajectory_report(eps: float, r: float) -> WorstReplayReport:
     """Build the instance, run Polyak descent from the first ladder point and
     measure its deviations from the ladder in float64 (r <= 14; the mpmath
@@ -633,15 +661,9 @@ def worst_trajectory_report(eps: float, r: float) -> WorstReplayReport:
     inst = worst_build(eps, r)
     trace = polyak_sgd(worst_oracle(inst), fstar=0.0, x0=inst.ladder[0],
                        s0=inst.r, T=inst.T)
-    return WorstReplayReport(
-        d=inst.d, M=inst.M, gaps=trace.gaps, radii=inst.radii,
-        max_ladder_dist=float(np.max([dist(s.x, y)
-                                      for s, y in zip(trace.samples, inst.ladder)])),
-        max_radius_err=_max_abs_diff(trace.radii, inst.radii),
-        max_step_err=_max_abs_diff(trace.step_lengths, inst.deltas),
-        max_gap_err=_max_abs_diff(trace.gaps, inst.radii),
-        min_gap=float(np.min(trace.gaps)),
-    )
+    return _replay_report(inst.d, inst.M, inst.radii, inst.deltas, trace.gaps,
+                          trace.radii, trace.step_lengths,
+                          [dist(s.x, y) for s, y in zip(trace.samples, inst.ladder)])
 
 
 # ---------------------------------------------------------------------------

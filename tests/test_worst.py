@@ -177,8 +177,10 @@ class TestTrajectory:
 
 
 # WorstReplayReport fields of the mpmath replay, recorded before the replay
-# dropped its frame transports and moved its forms onto raw libmp tuples; the
-# replay must reproduce every one of them exactly.
+# dropped its frame transports and moved its forms onto raw libmp tuples, and
+# (for (0.1, 20.0), the case `polyak-worst` certifies beyond r = 10) before it
+# built its ladder through resisting._ladder; the replay must reproduce every
+# one of them exactly.
 _PINNED_REPLAYS = {
     (0.17, 20.0): dict(
         d=21, M=2.9411764705882355,
@@ -212,6 +214,55 @@ _PINNED_REPLAYS = {
         max_step_err=3.111507638930571e-61,
         max_gap_err=6.223015277861142e-61,
         min_gap=3.6831994252026976),
+    (0.1, 20.0): dict(
+        d=62, M=5.0,
+        gaps=[20.0, 19.91282330642761, 19.825646612855223, 19.738469919282835,
+              19.651293225710443, 19.564116532138055, 19.476939838565666,
+              19.389763144993278, 19.30258645142089, 19.2154097578485,
+              19.12823306427611, 19.04105637070372, 18.953879677131333,
+              18.866702983558945, 18.779526289986556, 18.692349596414168,
+              18.60517290284178, 18.517996209269388, 18.430819515697,
+              18.34364282212461, 18.256466128552223, 18.169289434979834,
+              18.082112741407446, 17.994936047835058, 17.907759354262666,
+              17.820582660690278, 17.73340596711789, 17.6462292735455,
+              17.559052579973113, 17.471875886400724, 17.384699192828336,
+              17.297522499255948, 17.210345805683556, 17.123169112111167,
+              17.03599241853878, 16.94881572496639, 16.861639031394002,
+              16.774462337821614, 16.687285644249226, 16.600108950676837,
+              16.51293225710445, 16.42575556353206, 16.338578869959672,
+              16.251402176387288, 16.1642254828149, 16.07704878924251,
+              15.989872095670124, 15.902695402097738, 15.815518708525353,
+              15.728342014952966, 15.641165321380582, 15.553988627808199,
+              15.466811934235816, 15.379635240663433, 15.292458547091053,
+              15.205281853518674, 15.118105159946296, 15.030928466373922,
+              14.94375177280155, 14.85657507922918, 14.769398385656816,
+              14.682221692084456],
+        radii=[20.0, 19.91282330642761, 19.825646612855223, 19.738469919282835,
+               19.651293225710443, 19.564116532138055, 19.476939838565666,
+               19.389763144993278, 19.30258645142089, 19.2154097578485,
+               19.12823306427611, 19.04105637070372, 18.953879677131333,
+               18.866702983558945, 18.779526289986556, 18.692349596414168,
+               18.60517290284178, 18.517996209269388, 18.430819515697,
+               18.34364282212461, 18.256466128552223, 18.169289434979834,
+               18.082112741407446, 17.994936047835058, 17.907759354262666,
+               17.820582660690278, 17.73340596711789, 17.6462292735455,
+               17.559052579973113, 17.471875886400724, 17.384699192828336,
+               17.297522499255948, 17.210345805683556, 17.123169112111167,
+               17.03599241853878, 16.94881572496639, 16.861639031394002,
+               16.774462337821614, 16.687285644249226, 16.600108950676837,
+               16.51293225710445, 16.42575556353206, 16.338578869959672,
+               16.251402176387288, 16.1642254828149, 16.07704878924251,
+               15.989872095670124, 15.902695402097738, 15.815518708525353,
+               15.728342014952966, 15.641165321380582, 15.553988627808199,
+               15.466811934235816, 15.379635240663433, 15.292458547091053,
+               15.205281853518674, 15.118105159946296, 15.030928466373922,
+               14.94375177280155, 14.85657507922918, 14.769398385656816,
+               14.682221692084456],
+        max_ladder_dist=1.4279907724665237e-28,
+        max_radius_err=7.192685518457465e-56,
+        max_step_err=8.239116652506205e-57,
+        max_gap_err=3.460419659529689e-55,
+        min_gap=14.682221692084456),
 }
 
 
@@ -291,6 +342,41 @@ def test_float64_report_pinned(eps, r):
     assert rep.keys() == pinned.keys()
     for name, value in pinned.items():
         assert rep[name] == value, name
+
+
+def test_build_grid_bytes_pinned():
+    # ladder, x*, axes, radii and deltas, anchors and normals of 24 builds,
+    # both picks and r up to the float64 limit, recorded while worst_build
+    # and the mpmath replay each ran their own ladder loop
+    h = hashlib.sha256()
+    for eps in (0.1, 0.15, 0.17):
+        for r in (2.0, 6.0, 10.0, 14.0):
+            for pick in (+1, -1):
+                inst = worst_build(eps, r, pick)
+                for y in inst.ladder:
+                    h.update(y.coords.tobytes())
+                h.update(inst.xstar.coords.tobytes())
+                h.update(inst.axes.tobytes())
+                h.update(np.array(inst.radii + inst.deltas).tobytes())
+                for L in inst.halfspaces:
+                    h.update(L.anchor.coords.tobytes())
+                    h.update(L.normal.vec.tobytes())
+    assert h.hexdigest() == (
+        "079dd2b77212a7faeee0e7572f57c8a9a766f89f0046e8928cff924c34ce584b")
+
+
+def test_one_ladder_construction(monkeypatch):
+    calls = []
+    real = resisting._ladder
+
+    def counting(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(resisting, "_ladder", counting)
+    assert worst_build(0.15, 6.0).d == calls[-1]
+    assert highprec.worst_trajectory_report(0.16, 5.0).d == calls[-1]
+    assert len(calls) == 2
 
 
 class TestA2Check:
