@@ -29,7 +29,7 @@ print(f"dist(x_ref, x*) = {cert['dist_xref_xstar']:.12f} (target {r})")
 print(f"f(x*) - f*       = {cert['f_at_xstar'] - fstar:+.2e}")
 print(f"x* on every chosen hyperplane: worst residual {cert['max_subdist_xstar']:.2e}")
 print(f"law-of-cosines certificate residual: {cert['max_lawcos_residual']:.2e}")
-replay = max(abs(f.value(s.x) - s.F) for s in game.history)
+replay = game.replay_residual()
 print(f"replaying the final function reproduces the transcript to {replay:.2e}")
 export_transcript_jsonl(game, "nonsmooth_transcript.jsonl")
 print("transcript written to nonsmooth_transcript.jsonl")

@@ -24,6 +24,7 @@ from . import cutting, interpolation, resisting
 from .hyperboloid import _mink_x, base_point, dist, exp, zeta
 from .hyperboloid import log as hlog
 from .oracles import (
+    CHORD_ALLOWANCE,
     MoreauParams,
     fn_dist_point,
     fn_moreau,
@@ -66,22 +67,11 @@ def _game_rows(kind, game_factory, players, seed, extra_checks=None):
         t0 = time.perf_counter()
         game = game_factory()
         resisting.play(game, name, seed)
-        f, xstar, fstar = game.finalize()
-        cert = game.certificate()
-        bound = game.gap_bound()
-        min_gap = cert["min_recorded_gap"]
-        replay = float(np.max([abs(f.value(s.x) - s.F) for s in game.history]))
-        cert_ok = (abs(cert["dist_xref_xstar"] - game.r) <= 1e-9
-                   and abs(cert["f_at_xstar"] - fstar) <= 1e-8
-                   and cert["max_subdist_xstar"] <= 1e-8
-                   and cert["max_lawcos_residual"] <= 1e-9)
-        gaps_ok = min_gap >= bound - 1e-9
-        extra_ok, extra_info = True, {}
-        if extra_checks is not None:
-            extra_ok, extra_info = extra_checks(game, seed)
+        cert, replay = game.certificate(), game.replay_residual()
+        extra_ok, extra_info = extra_checks(game, seed) if extra_checks else (True, {})
         dt = time.perf_counter() - t0
-        rows.append(_row(kind, f"player={name}", min_gap, bound,
-                         gaps_ok and cert_ok and replay <= 1e-9 and extra_ok, dt))
+        rows.append(_row(kind, f"player={name}", cert["min_recorded_gap"], cert["gap_bound"],
+                         not game.failed_checks(cert, replay) and extra_ok, dt))
         transcript[name] = {
             "certificate": cert,
             "replay_residual": replay,
@@ -111,7 +101,7 @@ def run_lb_smooth(params, seed):
         f, _, _ = game.finalize()
         worst_slope = worst_chord_slope(f, rng, game.xref, game.r / 2.0,
                                         game.lam, n_chords)
-        ok = worst_sandwich <= 1e-9 and worst_slope <= L + 1e-3
+        ok = worst_sandwich <= 1e-9 and worst_slope <= L + CHORD_ALLOWANCE
         return ok, {"worst_sandwich": worst_sandwich,
                     "worst_chord_slope": worst_slope, "L": L}
 
@@ -132,22 +122,13 @@ def run_polyak_worst(params, seed):
     else:
         replay = resisting
     rep = replay.worst_trajectory_report(eps, r)
-    ladder_err, radius_err = rep.max_ladder_dist, rep.max_radius_err
-    step_err, gap_err, min_gap = rep.max_step_err, rep.max_gap_err, rep.min_gap
     dt = time.perf_counter() - t0
-    rows = [
-        _row("polyak-worst", f"eps={eps},r={r},trajectory", ladder_err, 1e-6,
-             ladder_err <= 1e-6, dt),
-        _row("polyak-worst", f"eps={eps},r={r},radii", radius_err, 1e-8,
-             radius_err <= 1e-8, 0.0),
-        _row("polyak-worst", f"eps={eps},r={r},steps", step_err, 1e-8,
-             step_err <= 1e-8, 0.0),
-        _row("polyak-worst", f"eps={eps},r={r},gap=floor(r/2)", min_gap, r / 2.0,
-             min_gap >= r / 2.0 - 1e-6 and gap_err <= 1e-6, 0.0),
-    ]
-    transcript = {"d": rep.d, "highprec": use_hp, "ladder_err": ladder_err,
-                  "radius_err": radius_err, "step_err": step_err,
-                  "gap_err": gap_err, "min_gap": min_gap}
+    rows = [_row("polyak-worst", f"eps={eps},r={r},{case}", measured, bound,
+                 passed, 0.0 if i else dt)
+            for i, (case, measured, bound, passed) in enumerate(rep.checks(r))]
+    transcript = {"d": rep.d, "highprec": use_hp, "ladder_err": rep.max_ladder_dist,
+                  "radius_err": rep.max_radius_err, "step_err": rep.max_step_err,
+                  "gap_err": rep.max_gap_err, "min_gap": rep.min_gap}
     return rows, transcript
 
 
@@ -162,24 +143,21 @@ def run_cut_game(params, seed):
         raise ValueError(f"unknown cut-game player {player_name!r}")
     rows, games_t = [], []
     total_rounds = quarter_ok_rounds = 0
-    all_consistent = all_replay = True
+    all_ok = True
     for i in range(games):
         t0 = time.perf_counter()
         cfg = cutting.CutConfig(d=d, r=r, eps=eps, seed=seed + i,
                                 max_rounds=max_rounds)
         tr = cutting.play_game(cfg, players[player_name](cfg))
         dt = time.perf_counter() - t0
-        consistent = tr.state.verify_consistency()
-        replay = tr.replay_ok() if tr.xstar is not None else tr.exhausted
+        ok = tr.state.verify_consistency() and tr.replay_ok()
         nrounds = len(tr.state.history)
         nquarter = sum(1 for rec in tr.state.history if rec.quarter_ok)
         total_rounds += nrounds
         quarter_ok_rounds += nquarter
-        all_consistent &= consistent
-        all_replay &= replay
+        all_ok &= ok
         rows.append(_row("cut-game", f"seed={seed + i}",
-                         nquarter / max(nrounds, 1), 0.25,
-                         consistent and replay, dt))
+                         nquarter / max(nrounds, 1), 0.25, ok, dt))
         games_t.append({"seed": seed + i, "packing_size": tr.packing_size,
                         "floor": tr.floor, "rounds": tr.rounds_survived,
                         "exhausted": tr.exhausted,
@@ -187,7 +165,7 @@ def run_cut_game(params, seed):
                         "target_rounds": cfg.target_rounds()})
     frac = quarter_ok_rounds / max(total_rounds, 1)
     rows.append(_row("cut-game", "aggregate-quarter-law", frac, 0.9,
-                     frac >= 0.9 and all_consistent and all_replay, 0.0))
+                     frac >= 0.9 and all_ok, 0.0))
     return rows, {"games": games_t, "quarter_fraction": frac}
 
 

@@ -318,7 +318,8 @@ def adversary_respond(state: CutGameState, x_k: HPoint,
     state.history.append(RoundRecord(state.round, xc.copy(), g_vec.copy(),
                                      hits, survivors, bool(quarter_ok)))
     state.round += 1
-    if not state.verify_consistency():
+    # survivors only shrink and already respect every older cut
+    if not _respects(state.candidates, state.history[-1:], cfg):
         raise AssertionError("survivor consistency invariant broken")
     return HTangent(x_k, g_vec)
 

@@ -723,6 +723,9 @@ def sandwich_violation(fv: float, bracket: tuple[float, float], lam: float) -> f
     return float(np.max([hi - fv, (fv - lam) - lo]))
 
 
+CHORD_ALLOWANCE = 1e-3  # a sampled chord check of an L-smooth f allows L + this
+
+
 def worst_chord_slope(f: FnOracle, rng: np.random.Generator, center: HPoint,
                       radius: float, lam: float, n: int) -> float:
     """Largest gradient chord slope |P g(p) - g(q)| / h over n sampled chords.

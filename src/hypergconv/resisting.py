@@ -266,6 +266,25 @@ class _GameBase:
                                              initial=np.inf)),
         }
 
+    def replay_residual(self) -> float:
+        """Largest |f(x_k) - F_k| of the final function over the transcript;
+        np.max keeps a NaN, which the builtin max would drop."""
+        f, _, _ = self.finalize()
+        return float(np.max([abs(f.value(s.x) - s.F) for s in self.history]))
+
+    def failed_checks(self, cert: dict, replay: float) -> list[str]:
+        """Names of the failing checks of a certificate and replay residual
+        (README, "What each CLI row checks"); a NaN fails its check."""
+        passed = {
+            "dist_xref_xstar": abs(cert["dist_xref_xstar"] - self.r) <= 1e-9,
+            "f_at_xstar": abs(cert["f_at_xstar"] - cert["fstar"]) <= 1e-8,
+            "max_subdist_xstar": cert["max_subdist_xstar"] <= 1e-8,
+            "max_lawcos_residual": cert["max_lawcos_residual"] <= 1e-9,
+            "min_recorded_gap": cert["min_recorded_gap"] >= cert["gap_bound"] - 1e-9,
+            "replay_residual": replay <= 1e-9,
+        }
+        return [name for name, ok in passed.items() if not ok]
+
     def gap_bound(self) -> float:
         raise NotImplementedError
 
@@ -632,6 +651,15 @@ class WorstReplayReport:
     max_step_err: float
     max_gap_err: float
     min_gap: float
+
+    def checks(self, r: float) -> list[tuple[str, float, float, bool]]:
+        """(case, measured, bound, passed) of each ladder check at radius r
+        (README, "What each CLI row checks"); a NaN fails its check."""
+        errs = [("trajectory", self.max_ladder_dist, 1e-6),
+                ("radii", self.max_radius_err, 1e-8), ("steps", self.max_step_err, 1e-8)]
+        return [(case, err, tol, err <= tol) for case, err, tol in errs] + [
+            ("gap=floor(r/2)", self.min_gap, r / 2.0,
+             self.min_gap >= r / 2.0 - 1e-6 and self.max_gap_err <= 1e-6)]
 
 
 def _max_abs_diff(xs, ys) -> float:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import hypergconv
-from hypergconv import cli, oracles
+from hypergconv import cli, oracles, resisting
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -87,6 +88,23 @@ def test_failing_check_exits_one(tmp_path, monkeypatch, capsys):
                      "--out", str(tmp_path / "o")])
     assert code == 1
     assert "FAIL" in capsys.readouterr().err
+
+
+def test_game_certificate_failure_fails_row(tmp_path, monkeypatch):
+    certificate = resisting._GameBase.certificate
+    monkeypatch.setattr(resisting._GameBase, "certificate",
+                        lambda self: {**certificate(self), "max_lawcos_residual": 2e-9})
+    cfg, out = write_cfg(tmp_path, {"T": 4, "r": 1.0, "players": ["polyak"]}), tmp_path / "o"
+    assert cli.main(["lb-nonsmooth", "--config", cfg, "--out", str(out)]) == 1
+    assert [r["passed"] for r in read_rows(out)] == ["False"]
+
+
+def test_ladder_report_failure_fails_its_row(monkeypatch):
+    report = resisting.worst_trajectory_report
+    monkeypatch.setattr(resisting, "worst_trajectory_report",
+                        lambda eps, r: dataclasses.replace(report(eps, r), max_step_err=2e-8))
+    rows, _ = cli.run_polyak_worst({"eps": 0.17, "r": 5.0}, 0)
+    assert [r["case"] for r in rows if r["passed"] != "True"] == ["eps=0.17,r=5.0,steps"]
 
 
 def test_determinism_excluding_runtime(tmp_path):

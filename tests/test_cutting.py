@@ -265,6 +265,14 @@ class TestAdversary:
         with pytest.raises(AdversaryExhausted):
             adversary_respond(state, c, make_rng(1))
 
+    def test_round_checks_the_new_cut(self, monkeypatch):
+        # a prune that keeps every candidate, whichever side of the cut it is on
+        monkeypatch.setattr(cutting, "_fewest_hits", lambda cand, normals, sh: (
+            *_fewest_hits(cand, normals, sh)[:2], np.full(len(cand), -2.0 * sh)))
+        state = new_game(CutConfig(d=3, r=5.0, eps=0.1, seed=4, max_centers=512))
+        with pytest.raises(AssertionError, match="consistency"):
+            adversary_respond(state, base_point(3), make_rng(11))
+
     def test_empty_candidates_signal(self):
         cfg = CutConfig(d=3, r=6.0, eps=0.1, seed=6)
         state = CutGameState(cfg, np.zeros((0, 4)))

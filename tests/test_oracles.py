@@ -440,7 +440,7 @@ class TestMoreau:
             gy = env.grad(yq)
             diff = hg.ptransport(x, yq, gx).vec - gy.vec
             slope = np.sqrt(max(mink_inner(diff, diff), 0.0)) / h
-            assert slope <= L + 1e-3
+            assert slope <= L + oracles.CHORD_ALLOWANCE
 
     def test_locality_part_removal(self, rng):
         # envelope values near a point depend only on the parts active in a

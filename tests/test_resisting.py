@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypergconv import DomainError, HalfSpace, RangeLimitError, dist, exp, frame
     log, sub_dist, zeta
 from hypergconv import resisting
 from hypergconv.hyperboloid import _tangent_unchecked
-from hypergconv.oracles import worst_chord_slope
+from hypergconv.oracles import CHORD_ALLOWANCE, worst_chord_slope
 from hypergconv.resisting import (
     BudgetExhausted,
     export_transcript_jsonl,
@@ -81,14 +83,7 @@ class TestNonsmoothGame:
         for T, r in [(4, 1.0), (8, 2.0)]:
             game = nonsmooth_new(T, r)
             play(game, player, seed=T)
-            f, xstar, fstar = game.finalize()
-            cert = game.certificate()
-            bound = game.gap_bound()
-            assert cert["min_recorded_gap"] >= bound - 1e-9
-            assert cert["dist_xref_xstar"] == pytest.approx(r, abs=1e-9)
-            assert abs(cert["f_at_xstar"] - fstar) <= 1e-8
-            assert cert["max_subdist_xstar"] <= 1e-8
-            assert cert["max_lawcos_residual"] <= 1e-9
+            assert game.failed_checks(game.certificate(), game.replay_residual()) == []
 
     def test_play_refuses_unknown_player(self):
         game = nonsmooth_new(4, 1.0)
@@ -100,10 +95,9 @@ class TestNonsmoothGame:
         game = nonsmooth_new(6, 2.0)
         play(game, "random", seed=3)
         f, _, _ = game.finalize()
+        assert game.failed_checks(game.certificate(), game.replay_residual()) == []
         for s in game.history:
-            F, g = f.eval(s.x)
-            assert F == pytest.approx(s.F, abs=1e-9)
-            assert np.allclose(g.vec, s.g.vec, atol=1e-9)
+            assert np.allclose(f.eval(s.x)[1].vec, s.g.vec, atol=1e-9)
 
     def test_selection_values_nonnegative(self):
         game = nonsmooth_new(6, 2.0)
@@ -243,12 +237,8 @@ class TestSmoothGame:
     def test_same_minimizer_as_nonsmooth_and_bound(self):
         game = smooth_new(4, 2.0)
         play(game, "random", seed=21)
-        f, xstar, fstar = game.finalize()
-        cert = game.certificate()
-        assert abs(cert["f_at_xstar"] - fstar) <= 1e-8
-        assert cert["dist_xref_xstar"] == pytest.approx(2.0, abs=1e-9)
-        assert cert["min_recorded_gap"] >= game.gap_bound() - 1e-6
-        assert f.smoothness == pytest.approx(1.0 / np.tanh(game.lam))
+        assert game.failed_checks(game.certificate(), game.replay_residual()) == []
+        assert game.finalize()[0].smoothness == pytest.approx(1.0 / np.tanh(game.lam))
 
     def test_chord_gradient_lipschitz(self):
         rng = make_rng(13)
@@ -256,7 +246,7 @@ class TestSmoothGame:
         play(game, "random", seed=22)
         f, _, _ = game.finalize()
         slope = worst_chord_slope(f, rng, game.xref, 0.5, game.lam, 25)
-        assert slope <= game.smoothness + 1e-3
+        assert slope <= game.smoothness + CHORD_ALLOWANCE
 
     def test_worst_checks_carry_nan(self, monkeypatch):
         class NanOracle:
@@ -317,3 +307,37 @@ class TestSmoothGame:
             for _ in range(10):
                 p = random_point_in_ball(rng, xk, game.delta / 4)
                 assert envT.value(p) == pytest.approx(envk.value(p), abs=1e-9)
+
+
+class TestCheckEdges:
+    # each threshold of the shared checks is pinned here: a value at its
+    # tolerance passes, the next double past it fails, and a NaN fails
+    CERT = {"dist_xref_xstar": 0.0, "f_at_xstar": 0.0, "fstar": 0.0, "max_subdist_xstar": 0.0,
+            "max_lawcos_residual": 0.0, "gap_bound": 1.0, "min_recorded_gap": 1.0}
+    REPORT = resisting.WorstReplayReport(
+        d=2, M=1.0, gaps=[], radii=[], max_ladder_dist=0.0, max_radius_err=0.0,
+        max_step_err=0.0, max_gap_err=0.0, min_gap=10.0)
+
+    @pytest.mark.parametrize("check,at,past", [
+        ("dist_xref_xstar", 1e-9, np.inf), ("f_at_xstar", 1e-8, np.inf),
+        ("max_subdist_xstar", 1e-8, np.inf), ("max_lawcos_residual", 1e-9, np.inf),
+        ("min_recorded_gap", 1.0 - 1e-9, -np.inf), ("replay_residual", 1e-9, np.inf)])
+    def test_game_certificate(self, check, at, past):
+        game = SimpleNamespace(r=0.0)  # so |dist_xref_xstar - r| is the field itself
+        for value, failed in ((at, []), (np.nextafter(at, past), [check]), (np.nan, [check])):
+            cert = {**self.CERT, check: value}
+            replay = cert.pop("replay_residual", 0.0)
+            assert resisting._GameBase.failed_checks(game, cert, replay) == failed
+
+    @pytest.mark.parametrize("field,row,at,past", [
+        ("max_ladder_dist", 0, 1e-6, np.inf), ("max_radius_err", 1, 1e-8, np.inf),
+        ("max_step_err", 2, 1e-8, np.inf), ("max_gap_err", 3, 1e-6, np.inf),
+        ("min_gap", 3, 10.0 / 2 - 1e-6, -np.inf)])
+    def test_ladder_report(self, field, row, at, past):
+        assert [c[2] for c in self.REPORT.checks(10.0)] == [1e-6, 1e-8, 1e-8, 5.0]
+        for value, ok in ((at, True), (np.nextafter(at, past), False), (np.nan, False)):
+            rep = dataclasses.replace(self.REPORT, **{field: value})
+            assert [c[3] for c in rep.checks(10.0)] == [ok or i != row for i in range(4)]
+
+    def test_chord_allowance(self):
+        assert CHORD_ALLOWANCE == 1e-3
