@@ -25,6 +25,7 @@ from .hyperboloid import _mink_x, base_point, dist, exp, zeta
 from .hyperboloid import log as hlog
 from .oracles import (
     CHORD_ALLOWANCE,
+    SANDWICH_ALLOWANCE,
     MoreauParams,
     fn_dist_point,
     fn_moreau,
@@ -101,7 +102,7 @@ def run_lb_smooth(params, seed):
         f, _, _ = game.finalize()
         worst_slope = worst_chord_slope(f, rng, game.xref, game.r / 2.0,
                                         game.lam, n_chords)
-        ok = worst_sandwich <= 1e-9 and worst_slope <= L + CHORD_ALLOWANCE
+        ok = worst_sandwich <= SANDWICH_ALLOWANCE and worst_slope <= L + CHORD_ALLOWANCE
         return ok, {"worst_sandwich": worst_sandwich,
                     "worst_chord_slope": worst_slope, "L": L}
 
@@ -164,8 +165,9 @@ def run_cut_game(params, seed):
                         "quarter_violations": tr.quarter_violations,
                         "target_rounds": cfg.target_rounds()})
     frac = quarter_ok_rounds / max(total_rounds, 1)
-    rows.append(_row("cut-game", "aggregate-quarter-law", frac, 0.9,
-                     frac >= 0.9 and all_ok, 0.0))
+    rows.append(_row("cut-game", "aggregate-quarter-law", frac,
+                     cutting.QUARTER_LAW_SHARE,
+                     cutting.quarter_law_holds(frac) and all_ok, 0.0))
     return rows, {"games": games_t, "quarter_fraction": frac}
 
 
@@ -259,8 +261,8 @@ def run_zoo_validate(params, seed):
         p = random_point_in_ball(rng, x0, 2.0)
         v = sandwich_violation(dist(p, z), env.bracket(p), lam)
         worst = float(np.max([worst, v]))
-    rows.append(_row("zoo-validate", "moreau-sandwich", worst, 1e-9,
-                     worst <= 1e-9, time.perf_counter() - t0))
+    rows.append(_row("zoo-validate", "moreau-sandwich", worst, SANDWICH_ALLOWANCE,
+                     worst <= SANDWICH_ALLOWANCE, time.perf_counter() - t0))
 
     t0 = time.perf_counter()
     grid = np.linspace(0.0, 30.0, 301)

@@ -29,6 +29,8 @@ __all__ = [
     "default_eps",
     "packing_floor",
     "packing_build",
+    "QUARTER_LAW_SHARE",
+    "quarter_law_holds",
     "adversary_respond",
     "volume_ball",
     "play_game",
@@ -43,6 +45,9 @@ __all__ = [
 N_NORMAL_SAMPLES = 512
 # The packing stops after this many consecutive rejections per accepted center.
 N_FAIL_FACTOR = 200
+# Share of all rounds of a set of games that must keep a quarter of the
+# candidates (RoundRecord.quarter_ok).
+QUARTER_LAW_SHARE = 0.9
 # Entries of the adversary's form per block of normals: a block, its
 # absolute value and its hit mask stay in cache.
 _BLOCK_ENTRIES = 2 ** 16
@@ -89,6 +94,11 @@ class CutConfig:
     def target_rounds(self) -> float:
         """The large-radius query floor (d-1) r / 32, reported, never asserted."""
         return (self.d - 1) * self.r / 32.0
+
+
+def quarter_law_holds(share: float) -> bool:
+    """Whether a share of quarter-law rounds meets QUARTER_LAW_SHARE; a NaN fails."""
+    return share >= QUARTER_LAW_SHARE
 
 
 def packing_floor(cfg: CutConfig) -> float:
@@ -258,8 +268,10 @@ def _fewest_hits(cand: np.ndarray, normals: np.ndarray, sh: float
     Returns its index (the first one on ties), that count and its column
     q[:, best] of q[c, j] = <cand_c, normal_j>.  q is formed a block of
     normals at a time, so no M x 512 array is built; every entry is the
-    same gemm and subtraction as in the whole form, so the bits are too
-    (README, "The adversary's hit count").
+    same gemm and subtraction as in the whole form, so the bits are too.
+    The scan stops after the block that holds the first normal with no
+    hit, which no later normal can beat (README, "The adversary's hit
+    count").
     """
     # at least 16 normals: a one-column product goes through gemv, which
     # rounds differently
@@ -278,6 +290,8 @@ def _fewest_hits(cand: np.ndarray, normals: np.ndarray, sh: float
         j = int(np.argmin(hits))
         if hits[j] < fewest:  # strict: ties keep the first index, as argmin
             best, fewest, col = lo + j, int(hits[j]), q[:, j].copy()
+            if fewest == 0:  # counts are never negative or NaN
+                break
     return best, fewest, col
 
 
@@ -391,13 +405,13 @@ class GameTranscript:
     rounds_survived: int
     exhausted: bool
     quarter_violations: int
-    xstar: np.ndarray | None
+    xstar: np.ndarray
     state: CutGameState
 
     def replay_ok(self) -> bool:
         """Exact consistency of the selected target with the verified history."""
-        return self.xstar is not None and _respects(
-            self.xstar[None, :], self.state.history[:self.rounds_survived], self.cfg)
+        return _respects(self.xstar[None, :],
+                         self.state.history[:self.rounds_survived], self.cfg)
 
 
 def play_game(cfg: CutConfig, player=None) -> GameTranscript:
@@ -412,8 +426,10 @@ def play_game(cfg: CutConfig, player=None) -> GameTranscript:
     packing_size = state.n_candidates
     adv_rng = make_rng(cfg.seed + 0x9E3779B9)
     player_rng = make_rng(cfg.seed + 0x61C88647)
+    # the packing holds a center and no round prunes the last one, so a
+    # candidate is left for every query and for the target x*
     exhausted = False
-    while state.round < cfg.max_rounds and state.n_candidates > 0:
+    while state.round < cfg.max_rounds:
         x = player(state, player_rng)
         try:
             adversary_respond(state, x, adv_rng)
@@ -421,7 +437,7 @@ def play_game(cfg: CutConfig, player=None) -> GameTranscript:
             exhausted = True
             break
     rounds = state.round
-    xstar = state.candidates[0].copy() if state.n_candidates else None
+    xstar = state.candidates[0].copy()
     quarter_violations = sum(1 for rec in state.history if not rec.quarter_ok)
     return GameTranscript(cfg, packing_size, packing_floor(cfg), rounds,
                           exhausted, quarter_violations, xstar, state)
@@ -436,7 +452,7 @@ def write_transcript_json(tr: GameTranscript, path) -> None:
         "target_rounds": tr.cfg.target_rounds(),
         "rounds_survived": tr.rounds_survived,
         "exhausted": tr.exhausted,
-        "xstar": None if tr.xstar is None else tr.xstar.tolist(),
+        "xstar": tr.xstar.tolist(),
         "rounds": [
             {"k": rec.k, "x": rec.x.tolist(), "g": rec.g.tolist(),
              "hits": rec.hits, "survivors": rec.survivors,

@@ -724,6 +724,7 @@ def sandwich_violation(fv: float, bracket: tuple[float, float], lam: float) -> f
 
 
 CHORD_ALLOWANCE = 1e-3  # a sampled chord check of an L-smooth f allows L + this
+SANDWICH_ALLOWANCE = 1e-9  # a sampled sandwich check allows a violation up to this
 
 
 def worst_chord_slope(f: FnOracle, rng: np.random.Generator, center: HPoint,

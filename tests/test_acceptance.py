@@ -17,7 +17,8 @@ import hypergconv as hg
 from hypergconv import base_point, dist, exp, frame_at_base, gspan, log, \
     mink_inner, sub_dist, zeta
 from hypergconv import cli, highprec, resisting
-from hypergconv.cutting import CutConfig, play_game, random_ball_player, volume_ball
+from hypergconv.cutting import (
+    CutConfig, play_game, quarter_law_holds, random_ball_player, volume_ball)
 from hypergconv.instances import max_of_distances_instance
 from hypergconv.interpolation import (
     InterpData,
@@ -157,7 +158,7 @@ def test_criterion_6_volumes_and_cut_games():
         assert tr.replay_ok()
         total_rounds += len(tr.state.history)
         quarter_rounds += sum(1 for rec in tr.state.history if rec.quarter_ok)
-    assert quarter_rounds >= 0.9 * total_rounds
+    assert quarter_law_holds(quarter_rounds / total_rounds)
     report(6, f"volume bounds and 50 cut games "
               f"(quarter law in {quarter_rounds}/{total_rounds} rounds)",
            time.perf_counter() - t0, 120.0)

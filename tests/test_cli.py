@@ -5,10 +5,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hypergconv
-from hypergconv import cli, oracles, resisting
+from hypergconv import cli, cutting, oracles, resisting
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -66,6 +67,38 @@ def test_cut_game_player_names(tmp_path):
         cli.run_cut_game({**cfg, "player": "bogus"}, 0)
     rows, transcript = cli.run_cut_game({**cfg, "player": "center"}, 0)
     assert len(rows) == 2 and transcript["games"][0]["rounds"] > 0
+
+
+# the lb-smooth row passes a sampled sandwich up to the shared allowance
+@pytest.mark.parametrize("worst, passed", [
+    (oracles.SANDWICH_ALLOWANCE, "True"),
+    (np.nextafter(oracles.SANDWICH_ALLOWANCE, np.inf), "False")])
+def test_lb_smooth_sandwich_allowance(monkeypatch, worst, passed):
+    monkeypatch.setattr(resisting.SmoothGame, "worst_sandwich",
+                        lambda self, rng, n: worst)
+    rows, transcript = cli.run_lb_smooth({"T": 2, "r": 1.0, "chord_samples": 4}, 1)
+    assert transcript["polyak"]["worst_sandwich"] == worst
+    assert rows[0]["passed"] == passed
+
+
+# the aggregate row reads the cut game's share: 9 of 10 rounds is exactly 0.9
+@pytest.mark.parametrize("ok_rounds, passed", [(9, "True"), (8, "False")])
+def test_cut_game_aggregate_share(monkeypatch, ok_rounds, passed):
+    play_game = cutting.play_game
+
+    def mark(cfg, player):
+        tr = play_game(cfg, player)
+        tr.state.history = [dataclasses.replace(rec, quarter_ok=rec.k < ok_rounds)
+                            for rec in tr.state.history]
+        return tr
+
+    monkeypatch.setattr(cutting, "play_game", mark)
+    rows, _ = cli.run_cut_game({"d": 3, "r": 4.1, "eps": 0.12, "games": 1,
+                                "max_rounds": 10}, 0)
+    row = rows[-1]
+    assert row["case"] == "aggregate-quarter-law"
+    assert float(row["measured"]) == ok_rounds / 10
+    assert (row["bound"], row["passed"]) == (f"{cutting.QUARTER_LAW_SHARE:.17g}", passed)
 
 
 def test_config_parse_error(tmp_path):

@@ -16,6 +16,7 @@ from hypergconv.cutting import (
     packing_build,
     packing_floor,
     play_game,
+    quarter_law_holds,
     random_ball_player,
     volume_ball,
     write_summary_csv,
@@ -348,6 +349,34 @@ class TestBlockedHits:
         assert self.assert_same(with_nan, normals) == _fewest_hits(
             cand[:100], normals, self.sh)[:2]
 
+    # the first normal that grazes no ball, at a block's first and last
+    # index (32 normals a block at M = 2048), in the last block, and nowhere:
+    # every fixture normal grazes some ball, and a scaled one grazes none
+    @pytest.mark.parametrize("k", [0, 31, 32, 500, 511, None])
+    def test_first_zero_equals_dense(self, cand, normals, k):
+        forced = normals.copy()
+        if k is not None:
+            forced[[k, 511]] *= 1e6
+        best, hits = self.assert_same(cand, forced)
+        assert (best, hits) == (k, 0) if k is not None else hits > 0
+
+    @pytest.mark.parametrize("k, blocks", [(0, 1), (31, 1), (32, 2), (500, 16),
+                                           (None, 16)])
+    def test_scan_stops_after_first_zero_block(self, cand, normals, k, blocks):
+        starts = []
+
+        class Recording(np.ndarray):
+            def __getitem__(self, key):
+                if isinstance(key, tuple) and key[1:] == (slice(1, None),):
+                    starts.append(key[0].start)
+                return super().__getitem__(key)
+
+        forced = normals.copy()
+        if k is not None:
+            forced[k] *= 1e6
+        _fewest_hits(cand, forced.view(Recording), self.sh)
+        assert starts == list(range(0, 32 * blocks, 32))
+
     def test_workload_game_records(self, monkeypatch):
         cfg = CutConfig(d=3, r=4.1, eps=0.12, seed=3, max_rounds=40)
         blocked = play_game(cfg, random_ball_player(cfg)).state.history
@@ -357,6 +386,14 @@ class TestBlockedHits:
         for a, b in zip(blocked, dense):
             assert (a.hits, a.survivors, a.quarter_ok) == (b.hits, b.survivors, b.quarter_ok)
             assert a.g.tobytes() == b.g.tobytes()
+
+
+class TestQuarterLaw:
+    def test_share_edges(self):
+        assert cutting.QUARTER_LAW_SHARE == 0.9
+        assert quarter_law_holds(0.9)
+        assert not quarter_law_holds(np.nextafter(0.9, 0.0))
+        assert not quarter_law_holds(float("nan"))
 
 
 class TestPlayGame:

@@ -9,7 +9,7 @@ from hypergconv import DomainError, HalfSpace, RangeLimitError, dist, exp, frame
     log, sub_dist, zeta
 from hypergconv import resisting
 from hypergconv.hyperboloid import _tangent_unchecked
-from hypergconv.oracles import CHORD_ALLOWANCE, worst_chord_slope
+from hypergconv.oracles import CHORD_ALLOWANCE, SANDWICH_ALLOWANCE, worst_chord_slope
 from hypergconv.resisting import (
     BudgetExhausted,
     export_transcript_jsonl,
@@ -341,3 +341,6 @@ class TestCheckEdges:
 
     def test_chord_allowance(self):
         assert CHORD_ALLOWANCE == 1e-3
+
+    def test_sandwich_allowance(self):
+        assert SANDWICH_ALLOWANCE == 1e-9

@@ -14,8 +14,19 @@ constructor's own checks only).
 
 A second table gives the ms/call of the cut-game adversary
 (``cutting.adversary_respond``) against the first M = 128 and 2048 centers
-of the d=3, r=4.1, eps=0.12 packing (seed 0), each call on a fresh state
-at one seeded query point; best of 5 repeats of 20 calls.
+of the d=3, r=4.1, eps=0.12 packing (seed 0), each call on a fresh state;
+best of 5 repeats of 20 calls.  It times both kinds of round, and raises
+if a round of the first kind records a nonzero count or one of the
+second kind a zero:
+
+- ``respond: zero in block 1`` queries the point at distance r from the
+  base point along the first axis.  There some normal of the first block
+  (index 0 at these seeds) grazes no ball, so the scan stops after that
+  block.
+- ``respond: full scan`` queries the first center.  Every normal through
+  it grazes its ball, so no normal has zero hits and all 512 are formed.
+
+At M = 128 one block holds all 512 normals, so both kinds form one block.
 
 A third table times the Moreau envelope of a smoothed game (T=16, r=5,
 played by Polyak, seed 0) at the first seeded sandwich point, drawn in
@@ -41,7 +52,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from hypergconv.cutting import (  # noqa: E402
     CutConfig, CutGameState, adversary_respond, new_game)
 from hypergconv.hyperboloid import (  # noqa: E402
-    HalfSpace, _mink_x, _mink_x_rows, base_point, dist, exp, log, sub_dist)
+    HalfSpace, HPoint, _mink_x, _mink_x_rows, base_point, dist, exp, log, sub_dist)
 from hypergconv.oracles import BRACKET_TOL  # noqa: E402
 from hypergconv.resisting import play, smooth_new  # noqa: E402
 from hypergconv.sampling import (  # noqa: E402
@@ -69,10 +80,13 @@ def calls(D: int) -> dict:
     }
 
 
-def respond_ms(m: int, n: int = 20) -> float:
+def respond_ms(m: int, zero_hit: bool, n: int = 20) -> float:
     cfg = CutConfig(d=3, r=4.1, eps=0.12, seed=0)
     cand = new_game(cfg).candidates[:m]
-    x = random_point_in_ball(make_rng(1), base_point(3), cfg.r)
+    if zero_hit:
+        x = HPoint(np.array([np.cosh(cfg.r), np.sinh(cfg.r), 0.0, 0.0]))
+    else:
+        x = HPoint(cand[0])
     best = float("inf")
     for _ in range(5):
         states = [CutGameState(cfg, cand.copy()) for _ in range(n)]
@@ -81,6 +95,8 @@ def respond_ms(m: int, n: int = 20) -> float:
         for state, rng in zip(states, rngs):
             adversary_respond(state, x, rng)
         best = min(best, timeit.default_timer() - t0)
+        if any((s.history[0].hits == 0) != zero_hit for s in states):
+            raise RuntimeError("a timed round is not of the kind it is named")
     return best / n * 1e3
 
 
@@ -111,7 +127,9 @@ def main() -> None:
         print(f"{name:<24}" + "".join(f"{t:9.2f}" for t in row))
     print()
     print(f"{'ms/call, best of 5':<24}" + "".join(f"{f'M={m}':>9}" for m in CANDIDATES))
-    print(f"{'adversary_respond':<24}" + "".join(f"{respond_ms(m):9.2f}" for m in CANDIDATES))
+    for name, zero_hit in (("respond: zero in block 1", True),
+                           ("respond: full scan", False)):
+        print(f"{name:<24}" + "".join(f"{respond_ms(m, zero_hit):9.2f}" for m in CANDIDATES))
     print()
     bracket_us, value_ms = envelope_calls()
     print("smoothed game T=16, r=5, at a wide bracket, best of 5")
