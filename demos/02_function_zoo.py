@@ -56,7 +56,7 @@ for _ in range(300):
     worst_lo = max(worst_lo, fv - lam - ev)
 print(f"sandwich f - lam <= f_lam <= f: violations {worst_lo:.1e}, {worst_hi:.1e}")
 
-print("\n== growth taper used in the quadratic-to-linear reduction ==")
+print("\n== growth taper; zoo-validate checks u + D u' >= 0 and 2 u' + D u'' <= 0 ==")
 for D in (0.4, 0.5, 0.6, 2.0, 50.0):
     u, du, d2u = taper(D, 1.0)
     print(f"  D={D:6.1f}: u={u:.6f} u'={du:+.3e} u''={d2u:+.3e}")

@@ -20,24 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cutting, interpolation, resisting
-from .hyperboloid import _mink_x, base_point, dist, exp, zeta
-from .hyperboloid import log as hlog
-from .oracles import (
-    CHORD_ALLOWANCE,
-    SANDWICH_ALLOWANCE,
-    MoreauParams,
-    fn_dist_point,
-    fn_moreau,
-    fn_shifted_max,
-    fn_sqdist_point,
-    midpoint_convexity_gap,
-    sandwich_violation,
-    subgradient_gap,
-    taper,
-    worst_chord_slope,
-)
-from .sampling import make_rng, random_point_in_ball, random_unit_tangent
+from . import cutting, interpolation, oracles, resisting
+from .oracles import CHORD_ALLOWANCE, SANDWICH_ALLOWANCE, worst_chord_slope
+from .sampling import make_rng
 
 KINDS = ["lb-nonsmooth", "lb-smooth", "polyak-worst", "cut-game", "interp",
          "zoo-validate", "sweep"]
@@ -57,8 +42,7 @@ def _row(kind, case, measured, bound, passed, runtime):
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: each returns (rows, transcript).  np.max/np.min carry a
-# NaN through to a failing row; the builtins drop it (max(0.0, nan) == 0.0).
+# experiment runners: each returns (rows, transcript)
 # ---------------------------------------------------------------------------
 
 
@@ -171,110 +155,28 @@ def run_cut_game(params, seed):
     return rows, {"games": games_t, "quarter_fraction": frac}
 
 
-def run_interp(params, seed):
-    lo, hi, n = params.get("theta_grid", [0.1, 1.4, 14])
-    triples = int(params.get("triples", 100))
+def _timed_rows(kind, checks):
+    """Rows of the (case, measured, bound, passed) a check generator yields,
+    each timed from the end of the one before."""
     rows = []
     t0 = time.perf_counter()
-    worst_margin = np.inf
-    ok = True
-    for theta in np.linspace(lo, hi, int(n)):
-        data, lower, upper = interpolation.obstruction_certificate(float(theta))
-        rep = interpolation.check_necessary(data)
-        ok &= rep.ok and lower > upper
-        worst_margin = float(np.minimum(worst_margin, lower - upper))
-    rows.append(_row("interp", "obstruction-grid", worst_margin, 0.0, ok,
-                     time.perf_counter() - t0))
+    for case, measured, bound, passed in checks:
+        t1 = time.perf_counter()
+        rows.append(_row(kind, case, measured, bound, passed, t1 - t0))
+        t0 = t1
+    return rows
 
-    t0 = time.perf_counter()
-    rng = make_rng(seed)
-    x0 = base_point(3)
-    z = exp(x0, random_unit_tangent(rng, x0).scaled(0.7))
-    src = fn_sqdist_point(z)
-    items = []
-    for _ in range(6):
-        p = random_point_in_ball(rng, z, 0.45)
-        F, g = src.eval(p)
-        items.append(interpolation.OracleSample(F, p, g))
-    data = interpolation.InterpData(items, mu=1.0)
-    f = interpolation.construct_sufficient(data)
-    applicable = not isinstance(f, interpolation.NotApplicable)
-    max_err = float(np.max([abs(f.value(s.x) - s.F) for s in items])) \
-        if applicable else np.inf
-    slack = float(np.min([subgradient_gap(f, s.x, random_point_in_ball(rng, x0, 2.0))
-                          for s in items for _ in range(20)])) if applicable else -np.inf
-    rows.append(_row("interp", "construct-roundtrip", max_err, 1e-9,
-                     applicable and max_err <= 1e-9 and slack >= -1e-8,
-                     time.perf_counter() - t0))
 
-    t0 = time.perf_counter()
-    worst = 0.0
-    for _ in range(triples):
-        y = random_point_in_ball(rng, x0, 1.0)
-        g = random_unit_tangent(rng, y).scaled(2.0 * rng.uniform())
-        x = random_point_in_ball(rng, x0, 1.5)
-        if dist(x, y) < 1e-8:
-            continue
-        fmin, val = interpolation.minimal_function(rng.uniform(-1, 1), y, g, x)
-        target = fmin.value(y) + _mink_x(g.vec, hlog(y, x).vec)
-        worst = float(np.maximum(worst, abs(val - target)))
-    rows.append(_row("interp", "minimal-values", worst, 1e-8, worst <= 1e-8,
-                     time.perf_counter() - t0))
+def run_interp(params, seed):
+    lo, hi, n = params.get("theta_grid", [0.1, 1.4, 14])
+    rows = _timed_rows("interp", interpolation.interp_checks(
+        make_rng(seed), np.linspace(lo, hi, int(n)), int(params.get("triples", 100))))
     return rows, {"rows": len(rows)}
 
 
 def run_zoo_validate(params, seed):
-    d = int(params.get("d", 4))
-    n = int(params.get("samples", 200))
-    rng = make_rng(seed)
-    x0 = base_point(d)
-    rows = []
-
-    z = random_point_in_ball(rng, x0, 1.2)
-    S = resisting.HalfSpace(z, random_unit_tangent(rng, z)).boundary
-    oracles = {
-        "dist-point": fn_dist_point(z),
-        "sqdist-point": fn_sqdist_point(z),
-        "dist-sub": resisting.fn_dist_sub(S, 0.3),
-        "max": fn_shifted_max([(fn_dist_point(z), 0.1),
-                               (resisting.fn_dist_sub(S, 0.0), 0.2)]),
-    }
-    for name, o in oracles.items():
-        t0 = time.perf_counter()
-        worst = np.inf
-        lip_ok = True
-        for _ in range(n):
-            a = random_point_in_ball(rng, x0, 2.0)
-            b = random_point_in_ball(rng, x0, 2.0)
-            worst = float(np.min([worst, subgradient_gap(o, a, b),
-                                  midpoint_convexity_gap(o, a, b)]))
-            if o.lipschitz is not None:
-                lip_ok &= o.grad(a).norm <= o.lipschitz + 1e-9
-        rows.append(_row("zoo-validate", f"gconvex-{name}", worst, -1e-8,
-                         worst >= -1e-8 and lip_ok, time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    lam = 0.25
-    env = fn_moreau(fn_dist_point(z), MoreauParams(lam))
-    worst = 0.0
-    for _ in range(n):
-        p = random_point_in_ball(rng, x0, 2.0)
-        v = sandwich_violation(dist(p, z), env.bracket(p), lam)
-        worst = float(np.max([worst, v]))
-    rows.append(_row("zoo-validate", "moreau-sandwich", worst, SANDWICH_ALLOWANCE,
-                     worst <= SANDWICH_ALLOWANCE, time.perf_counter() - t0))
-
-    t0 = time.perf_counter()
-    grid = np.linspace(0.0, 30.0, 301)
-    zb = float(np.max(zeta(grid) - (1.0 + grid)))
-    Ds = np.geomspace(0.51, 1e6, 400)
-    ok_taper = True
-    for R in (1.0, 10.0):
-        u, du, d2u = taper(Ds * R * R, R)
-        ok_taper &= bool(np.all(u + Ds * R * R * du >= -1e-12))
-        ok_taper &= bool(np.all(2 * du + Ds * R * R * d2u <= 1e-12))
-    rows.append(_row("zoo-validate", "scalar-bounds", zb, 0.0,
-                     zb <= 1e-12 and ok_taper, time.perf_counter() - t0))
+    rows = _timed_rows("zoo-validate", oracles.zoo_checks(
+        make_rng(seed), int(params.get("d", 4)), int(params.get("samples", 200))))
     return rows, {"suites": len(rows)}
 
 

@@ -6,18 +6,19 @@ sufficient in Euclidean space but not here: an isoceles triangle with the
 right apex gradient passes all of them while forcing an interpolant above
 its own max, because hyperbolic altitudes are shorter than the Euclidean
 ones with the same side data.  ``obstruction_certificate`` builds that
-triangle and returns the conflicting bounds.
+triangle and returns the conflicting bounds.  ``interp_checks`` measures and
+judges the CLI's ``interp`` rows (README, "What each CLI row checks").
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hyperboloid import (
     DomainError,
+    GeometryViolation,
     HPoint,
     HTangent,
     base_point,
@@ -38,7 +39,10 @@ from .oracles import (
     fn_pseudo_affine,
     fn_sqdist_point,
     fn_sum,
+    gconvex_holds,
+    subgradient_gap,
 )
+from .sampling import random_point_in_ball, random_unit_tangent
 
 __all__ = [
     "InterpData",
@@ -48,11 +52,15 @@ __all__ = [
     "construct_sufficient",
     "obstruction_certificate",
     "minimal_function",
-    "data_to_json",
-    "data_from_json",
+    "obstructs",
+    "roundtrip_holds",
+    "minimal_values_hold",
+    "interp_checks",
 ]
 
 SLACK_TOL = 1e-9
+ROUNDTRIP_TOL = 1e-9  # an interpolant reproduces each data value F_i to this
+MINIMAL_TOL = 1e-8  # a minimal function reaches F + <g, log_y(x)> at x to this
 
 
 @dataclass(frozen=True)
@@ -68,9 +76,6 @@ class InterpData:
         dims = {s.x.d for s in self.items}
         if len(dims) > 1:
             raise DomainError("interpolation data mixes dimensions")
-
-    def __len__(self):
-        return len(self.items)
 
 
 @dataclass(frozen=True)
@@ -136,8 +141,8 @@ def construct_sufficient(data: InterpData) -> FnOracle | NotApplicable:
                    warn_on_ties=False)
     for i, s in enumerate(data.items):
         v = f.value(s.x)
-        if abs(v - s.F) > 1e-9 * max(1.0, abs(s.F)):
-            raise AssertionError(f"interpolant misses value {i}: {v} vs {s.F}")
+        if abs(v - s.F) > ROUNDTRIP_TOL * max(1.0, abs(s.F)):
+            raise GeometryViolation(f"interpolant misses value {i}: {v} vs {s.F}")
     return f
 
 
@@ -165,8 +170,9 @@ def obstruction_certificate(theta: float, perpendicular_grads: bool = False
     h = float(np.arctanh(np.cos(theta) * np.tanh(1.0)))
     p = exp(x1, e1.scaled(h))
     g1 = log(x1, p).scaled(-1.0 / (np.cos(theta) * h))
+    base_grads = [HTangent(x2, np.zeros(3)), HTangent(x3, np.zeros(3))]
     if perpendicular_grads:
-        g2, g3 = [], []
+        base_grads = []
         for xa, xb in ((x2, x3), (x3, x2)):
             t = log(xa, xb)
             t = t.scaled(1.0 / t.norm)
@@ -174,15 +180,9 @@ def obstruction_certificate(theta: float, perpendicular_grads: bool = False
             perp = toward.vec - _mink_x(toward.vec, t.vec) * t.vec
             pn = np.sqrt(max(_mink_x(perp, perp), 0.0))
             alpha = np.arcsin(min(pn / toward.norm, 1.0))
-            (g2 if xa is x2 else g3).append(
-                HTangent(xa, perp / (pn * np.sin(alpha))))
-        items = [OracleSample(1.0, x1, g1),
-                 OracleSample(0.0, x2, g2[0]),
-                 OracleSample(0.0, x3, g3[0])]
-    else:
-        items = [OracleSample(1.0, x1, g1),
-                 OracleSample(0.0, x2, HTangent(x2, np.zeros(3))),
-                 OracleSample(0.0, x3, HTangent(x3, np.zeros(3)))]
+            base_grads.append(HTangent(xa, perp / (pn * np.sin(alpha))))
+    items = [OracleSample(1.0, x1, g1), OracleSample(0.0, x2, base_grads[0]),
+             OracleSample(0.0, x3, base_grads[1])]
     lower = 1.0 - h / np.cos(theta)
     upper = 0.0
     return InterpData(items, mu=0.0), lower, upper
@@ -216,26 +216,57 @@ def minimal_function(F: float, y: HPoint, g: HTangent, x: HPoint
     f = fn_sum(parts, gconvex=True)
     value = f.value(x)
     target = F + align
-    if abs(value - target) > 1e-8 * max(1.0, abs(target)):
-        raise AssertionError(f"minimal construction off target: {value} vs {target}")
+    if abs(value - target) > MINIMAL_TOL * max(1.0, abs(target)):
+        raise GeometryViolation(f"minimal construction off target: {value} vs {target}")
     return f, value
 
 
-def data_to_json(data: InterpData) -> str:
-    doc = {
-        "d": data.items[0].x.d if data.items else 0,
-        "mu": data.mu,
-        "items": [{"F": s.F, "x": s.x.coords.tolist(), "g": s.g.vec.tolist()}
-                  for s in data.items],
-    }
-    return json.dumps(doc, indent=1)
+def obstructs(data: InterpData, lower: float, upper: float) -> bool:
+    """The data pass the necessary inequalities and still force lower > upper."""
+    return bool(check_necessary(data).ok and lower > upper)
 
 
-def data_from_json(text: str) -> InterpData:
-    doc = json.loads(text)
-    items = []
-    for rec in doc["items"]:
-        x = HPoint(np.asarray(rec["x"], dtype=float))
-        items.append(OracleSample(float(rec["F"]), x,
-                                  HTangent(x, np.asarray(rec["g"], dtype=float))))
-    return InterpData(items, mu=float(doc.get("mu", 0.0)))
+def roundtrip_holds(max_err: float, min_slack: float) -> bool:
+    """max |f(x_i) - F_i| <= ROUNDTRIP_TOL and the smallest slack is g-convex."""
+    return bool(max_err <= ROUNDTRIP_TOL and gconvex_holds(min_slack))
+
+
+def minimal_values_hold(worst: float) -> bool:
+    """The largest miss of F + <g, log_y(x)> by a minimal function is <= MINIMAL_TOL."""
+    return bool(worst <= MINIMAL_TOL)
+
+
+def interp_checks(rng: np.random.Generator, thetas, triples: int):
+    """Yield the ``interp`` rows (case, measured, bound, passed) in order
+    (README, "What each CLI row checks"): the certificate at each theta, an
+    interpolant of six samples in H^3, and ``triples`` minimal functions."""
+    worst_margin, ok = np.inf, True
+    for theta in thetas:
+        data, lower, upper = obstruction_certificate(float(theta))
+        ok &= obstructs(data, lower, upper)
+        worst_margin = float(np.minimum(worst_margin, lower - upper))
+    yield "obstruction-grid", worst_margin, 0.0, ok
+
+    x0 = base_point(3)
+    z = exp(x0, random_unit_tangent(rng, x0).scaled(0.7))
+    ps = [random_point_in_ball(rng, z, 0.45) for _ in range(6)]
+    items = [OracleSample(F, p, g) for p, (F, g) in zip(ps, map(fn_sqdist_point(z).eval, ps))]
+    f = construct_sufficient(InterpData(items, mu=1.0))
+    max_err, slack = np.inf, -np.inf
+    if not isinstance(f, NotApplicable):
+        max_err = float(np.max([abs(f.value(s.x) - s.F) for s in items]))
+        slack = float(np.min([subgradient_gap(f, s.x, random_point_in_ball(rng, x0, 2.0))
+                              for s in items for _ in range(20)]))
+    yield "construct-roundtrip", max_err, ROUNDTRIP_TOL, roundtrip_holds(max_err, slack)
+
+    worst = 0.0
+    for _ in range(triples):
+        y = random_point_in_ball(rng, x0, 1.0)
+        g = random_unit_tangent(rng, y).scaled(2.0 * rng.uniform())
+        x = random_point_in_ball(rng, x0, 1.5)
+        if dist(x, y) < 1e-8:
+            continue
+        fmin, val = minimal_function(rng.uniform(-1, 1), y, g, x)
+        target = fmin.value(y) + _mink_x(g.vec, log(y, x).vec)
+        worst = float(np.maximum(worst, abs(val - target)))
+    yield "minimal-values", worst, MINIMAL_TOL, minimal_values_hold(worst)

@@ -17,6 +17,7 @@ import numpy as np
 from .hyperboloid import (
     R_MAX,
     DomainError,
+    HalfSpace,
     HPoint,
     HTangent,
     TotallyGeodesicSub,
@@ -24,6 +25,7 @@ from .hyperboloid import (
     _mink,
     _mink_x,
     _mink_x_rows,
+    base_point,
     dist,
     exp,
     gspan,
@@ -31,6 +33,7 @@ from .hyperboloid import (
     ptransport,
     sub_dist,
     sub_dist_value,
+    zeta,
 )
 from .sampling import random_point_in_ball, random_unit_tangent
 
@@ -50,6 +53,10 @@ __all__ = [
     "midpoint_convexity_gap",
     "sandwich_violation",
     "worst_chord_slope",
+    "gconvex_holds",
+    "lipschitz_holds",
+    "scalar_bounds_hold",
+    "zoo_checks",
 ]
 
 logger = logging.getLogger(__name__)
@@ -669,12 +676,12 @@ def _polish_active_set(y_start: np.ndarray, prob: _ProxProblem):
 
 
 def taper(D, R: float):
-    """C-infinity taper applied to half-squared-distance to cap quadratic growth.
+    """C-infinity taper u(D) of a half squared distance D, with R its radius.
 
     Equals 1 for D <= R^2/2 and 1 - exp(-4/sqrt(2 D/R^2 - 1)) beyond; returns
-    (value, first derivative, second derivative) in D.  The derivative combos
-    appearing in the gradient/Hessian of tapered functions stay sign-definite
-    (see the scalar-identity tests).
+    (value, first derivative, second derivative) in D.  The ``zoo-validate``
+    row ``scalar-bounds`` checks that u + D u' >= 0 and 2 u' + D u'' <= 0
+    (``scalar_bounds_hold``).
     """
     if R <= 0.0:
         raise DomainError("taper radius must be positive")
@@ -747,3 +754,62 @@ def worst_chord_slope(f: FnOracle, rng: np.random.Generator, center: HPoint,
         slope = np.sqrt(max(float(np.sum(diffvec[1:] ** 2) - diffvec[0] ** 2), 0.0)) / h
         worst = float(np.maximum(worst, slope))  # carries a NaN slope through
     return worst
+
+
+GCONVEX_SLACK = -1e-8  # a sampled subgradient or midpoint gap passes down to this
+LIPSCHITZ_ALLOWANCE = 1e-9  # a sampled gradient norm may pass the Lipschitz constant by this
+SCALAR_TOL = 1e-12  # zeta(t) <= 1 + t and the taper's sign conditions hold to this
+
+
+def gconvex_holds(worst_gap: float) -> bool:
+    """The smallest sampled subgradient or midpoint gap is >= GCONVEX_SLACK."""
+    return bool(worst_gap >= GCONVEX_SLACK)
+
+
+def lipschitz_holds(grad_norm: float, lipschitz: float) -> bool:
+    """A gradient norm is at most the Lipschitz constant + LIPSCHITZ_ALLOWANCE."""
+    return bool(grad_norm <= lipschitz + LIPSCHITZ_ALLOWANCE)
+
+
+def scalar_bounds_hold(zeta_excess: float, growth: float, bend: float) -> bool:
+    """max zeta(t) - (1 + t), min u + D u' and max 2 u' + D u'' within SCALAR_TOL of 0."""
+    return bool(zeta_excess <= SCALAR_TOL and growth >= -SCALAR_TOL and bend <= SCALAR_TOL)
+
+
+def zoo_checks(rng: np.random.Generator, d: int, n: int):
+    """Yield the ``zoo-validate`` rows (case, measured, bound, passed) in order
+    (README, "What each CLI row checks"); n samples per row in H^d."""
+    x0 = base_point(d)
+    z = random_point_in_ball(rng, x0, 1.2)
+    S = HalfSpace(z, random_unit_tangent(rng, z)).boundary
+    zoo = {"dist-point": fn_dist_point(z), "sqdist-point": fn_sqdist_point(z),
+           "dist-sub": fn_dist_sub(S, 0.3),
+           "max": fn_shifted_max([(fn_dist_point(z), 0.1), (fn_dist_sub(S, 0.0), 0.2)])}
+    for name, o in zoo.items():
+        worst, lip_ok = np.inf, True
+        for _ in range(n):
+            a = random_point_in_ball(rng, x0, 2.0)
+            b = random_point_in_ball(rng, x0, 2.0)
+            worst = float(np.min([worst, subgradient_gap(o, a, b),
+                                  midpoint_convexity_gap(o, a, b)]))
+            if o.lipschitz is not None:
+                lip_ok &= lipschitz_holds(o.grad(a).norm, o.lipschitz)
+        yield f"gconvex-{name}", worst, GCONVEX_SLACK, gconvex_holds(worst) and lip_ok
+
+    lam = 0.25
+    env = fn_moreau(fn_dist_point(z), MoreauParams(lam))
+    worst = 0.0
+    for _ in range(n):
+        p = random_point_in_ball(rng, x0, 2.0)
+        worst = float(np.max([worst, sandwich_violation(dist(p, z), env.bracket(p), lam)]))
+    yield "moreau-sandwich", worst, SANDWICH_ALLOWANCE, worst <= SANDWICH_ALLOWANCE
+
+    t = np.linspace(0.0, 30.0, 301)
+    zb = float(np.max(zeta(t) - (1.0 + t)))
+    growth, bend = [], []
+    for R in (1.0, 10.0):
+        D = np.geomspace(0.51, 1e6, 400) * R * R
+        u, du, d2u = taper(D, R)
+        growth.append(u + D * du)
+        bend.append(2 * du + D * d2u)
+    yield "scalar-bounds", zb, 0.0, scalar_bounds_hold(zb, np.min(growth), np.max(bend))

@@ -2,14 +2,19 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hypergconv
 from hypergconv import cli, cutting, oracles, resisting
+
+ROW_DOCS = (Path(__file__).resolve().parents[1] / "README.md").read_text() \
+    .split("## What each CLI row checks")[1].split("\n## ")[0]
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -44,6 +49,14 @@ def test_kinds_pass(tmp_path, kind, cfg):
     rows = read_rows(out)
     assert rows and all(r["passed"] == "True" for r in rows)
     assert (out / "transcript.json").exists()
+    # every row's fixed case name opens a code span of README, "What each CLI
+    # row checks": "eps=0.17,r=5.0,steps" is "steps", "gconvex-max" is
+    # "gconvex-" and "player=polyak" is "player=<"
+    for r in rows:
+        name = re.sub(r"^(\w+=[^,]*,)+", "", r["case"])
+        name = re.sub(r"^gconvex-.*", "gconvex-", name)
+        name = re.sub(r"^(\w+)=[\w.]+$", r"\1=<", name)
+        assert "`" + name in ROW_DOCS, name
 
 
 def test_polyak_worst_refuses_highprec_key(tmp_path):
@@ -59,6 +72,20 @@ def test_nan_envelope_value_fails_sandwich(monkeypatch):
     rows, _ = cli.run_zoo_validate({"d": 3, "samples": 5}, 0)
     row = next(r for r in rows if r["case"] == "moreau-sandwich")
     assert row["passed"] == "False" and row["measured"] == "nan"
+
+
+# the gconvex rows pass a sampled subgradient gap down to the shared slack
+@pytest.mark.parametrize("gap, passed", [
+    (oracles.GCONVEX_SLACK, "True"),
+    (np.nextafter(oracles.GCONVEX_SLACK, -np.inf), "False")])
+def test_zoo_gconvex_slack(monkeypatch, gap, passed):
+    monkeypatch.setattr(oracles, "subgradient_gap", lambda f, x, y: gap)
+    rows, _ = cli.run_zoo_validate({"d": 3, "samples": 5}, 0)
+    gconvex = [r for r in rows if r["case"].startswith("gconvex-")]
+    assert len(gconvex) == 4
+    for r in gconvex:
+        assert (r["measured"], r["bound"]) == (f"{gap:.17g}", f"{oracles.GCONVEX_SLACK:.17g}")
+        assert r["passed"] == passed
 
 
 def test_cut_game_player_names(tmp_path):

@@ -2,20 +2,28 @@ import numpy as np
 import pytest
 
 import hypergconv as hg
-from hypergconv import DomainError, HTangent, base_point, dist, exp, log, mink_inner
+from hypergconv import (
+    DomainError, GeometryViolation, HTangent, base_point, dist, exp, log, mink_inner)
+from hypergconv import oracles
 from hypergconv.interpolation import (
+    MINIMAL_TOL,
+    ROUNDTRIP_TOL,
     InterpData,
     NotApplicable,
     check_necessary,
     construct_sufficient,
-    data_from_json,
-    data_to_json,
     minimal_function,
+    minimal_values_hold,
     obstruction_certificate,
+    obstructs,
+    roundtrip_holds,
 )
 from hypergconv.oracles import (
+    GCONVEX_SLACK,
     OracleSample,
+    ShiftedMax,
     fn_sqdist_point,
+    gconvex_holds,
     midpoint_convexity_gap,
 )
 from hypergconv.sampling import random_point_in_ball
@@ -66,8 +74,7 @@ class TestObstruction:
     @pytest.mark.parametrize("theta", np.linspace(0.1, 1.4, 14))
     def test_grid(self, theta):
         data, lower, upper = obstruction_certificate(float(theta))
-        assert check_necessary(data).ok
-        assert lower > upper == 0.0
+        assert obstructs(data, lower, upper) and upper == 0.0
 
     def test_frozen_values(self):
         data, lower, upper = obstruction_certificate(0.8)
@@ -89,8 +96,7 @@ class TestObstruction:
 
     def test_perpendicular_variant_passes(self):
         data, lower, upper = obstruction_certificate(0.8, perpendicular_grads=True)
-        rep = check_necessary(data)
-        assert rep.ok and lower > upper
+        assert obstructs(data, lower, upper)
 
     def test_domain_guard(self):
         with pytest.raises(DomainError):
@@ -113,12 +119,24 @@ class TestConstructSufficient:
         data = InterpData(sq_samples(rng, z), mu=1.0)
         f = construct_sufficient(data)
         assert not isinstance(f, NotApplicable)
+        errs, gaps = [], []
         for s in data.items:
+            # tighter than the row's ROUNDTRIP_TOL on this data
             assert f.value(s.x) == pytest.approx(s.F, abs=1e-12)
+            errs.append(abs(f.value(s.x) - s.F))
             for _ in range(30):
                 q = rand_point(rng, 3, 2.0)
-                gap = f.value(q) - s.F - mink_inner(s.g.vec, log(s.x, q).vec)
-                assert gap >= -1e-8
+                gaps.append(f.value(q) - s.F - mink_inner(s.g.vec, log(s.x, q).vec))
+        assert roundtrip_holds(np.max(errs), np.min(gaps))
+
+    def test_missed_value_raises(self, rng, monkeypatch):
+        z = rand_point(rng, 3, 1.0)
+        data = InterpData(sq_samples(rng, z), mu=1.0)
+        value = ShiftedMax.value
+        monkeypatch.setattr(ShiftedMax, "value",
+                            lambda self, x: value(self, x) + 2 * ROUNDTRIP_TOL)
+        with pytest.raises(GeometryViolation, match="misses value 0"):
+            construct_sufficient(data)
 
     def test_strong_convexity_midpoint(self, rng):
         z = rand_point(rng, 3, 1.0)
@@ -177,7 +195,7 @@ class TestMinimalFunction:
                 continue
             f, val = minimal_function(0.3, y, g, x)
             target = 0.3 + mink_inner(g.vec, log(y, x).vec)
-            assert val == pytest.approx(target, abs=1e-8)
+            assert minimal_values_hold(abs(val - target))
 
     def test_interpolates_anchor(self, rng):
         y = rand_point(rng, 3, 1.0)
@@ -189,7 +207,7 @@ class TestMinimalFunction:
         assert f.value(y) == pytest.approx(-0.4, abs=1e-10)
         for _ in range(100):
             q = rand_point(rng, 3, 2.0)
-            assert f.value(q) - (-0.4) - mink_inner(g.vec, log(y, q).vec) >= -1e-8
+            assert gconvex_holds(f.value(q) - (-0.4) - mink_inner(g.vec, log(y, q).vec))
 
     def test_gconvex(self, rng):
         y = rand_point(rng, 3, 1.0)
@@ -200,21 +218,43 @@ class TestMinimalFunction:
             a, b = rand_point(rng, 3, 2.0), rand_point(rng, 3, 2.0)
             assert midpoint_convexity_gap(f, a, b) >= -1e-9
 
+    def test_missed_target_raises(self, rng, monkeypatch):
+        y = rand_point(rng, 3, 1.0)
+        x = exp(y, rand_unit(rng, y).scaled(1.2))
+        monkeypatch.setattr(oracles._Sum, "value",
+                            lambda self, q: self.eval(q)[0] + 2 * MINIMAL_TOL)
+        with pytest.raises(GeometryViolation, match="off target"):
+            minimal_function(0.5, y, rand_tangent(rng, y, 1.0), x)
+
     def test_coincident_rejected(self, rng):
         y = rand_point(rng, 3)
         with pytest.raises(DomainError):
             minimal_function(0.0, y, rand_unit(rng, y), y)
 
 
-class TestJson:
-    def test_roundtrip(self, rng):
-        z = rand_point(rng, 3, 1.0)
-        data = InterpData(sq_samples(rng, z, n=3), mu=0.8)
-        text = data_to_json(data)
-        back = data_from_json(text)
-        assert back.mu == data.mu
-        assert len(back) == len(data)
-        for a, b in zip(data.items, back.items):
-            assert np.allclose(a.x.coords, b.x.coords)
-            assert np.allclose(a.g.vec, b.g.vec)
-            assert a.F == b.F
+class TestCheckEdges:
+    # each interp rule is read from `interpolation`: a value at its tolerance
+    # passes, the next double past it fails, and a NaN fails
+    def test_tolerances(self):
+        assert (ROUNDTRIP_TOL, MINIMAL_TOL) == (1e-9, 1e-8)
+
+    @pytest.mark.parametrize("verdict,at,past", [
+        (lambda v: roundtrip_holds(v, 0.0), ROUNDTRIP_TOL, np.inf),
+        (lambda v: roundtrip_holds(0.0, v), GCONVEX_SLACK, -np.inf),
+        (minimal_values_hold, MINIMAL_TOL, np.inf),
+    ], ids=["roundtrip-err", "roundtrip-slack", "minimal-values"])
+    def test_edge(self, verdict, at, past):
+        assert verdict(at)
+        assert not verdict(np.nextafter(at, past))
+        assert not verdict(np.nan)
+
+    def test_obstruction_is_strict(self):
+        data, _, _ = obstruction_certificate(0.8)
+        assert obstructs(data, np.nextafter(0.0, 1.0), 0.0)
+        assert not obstructs(data, 0.0, 0.0)
+        assert not obstructs(data, np.nan, 0.0)
+        x = base_point(2)
+        y = exp(x, hg.frame_at_base(2)[0].scaled(1.0))
+        failing = InterpData([OracleSample(0.0, x, HTangent(x, np.zeros(3))),
+                              OracleSample(-1.0, y, HTangent(y, np.zeros(3)))])
+        assert not obstructs(failing, 1.0, 0.0)

@@ -23,6 +23,9 @@ from hypergconv import (
 from hypergconv.interpolation import InterpData, construct_sufficient
 from hypergconv.oracles import (
     BRACKET_TOL,
+    GCONVEX_SLACK,
+    LIPSCHITZ_ALLOWANCE,
+    SCALAR_TOL,
     TIE_TOL,
     MoreauParams,
     FnOracle,
@@ -36,7 +39,10 @@ from hypergconv.oracles import (
     fn_pseudo_affine,
     fn_shifted_max,
     fn_sqdist_point,
+    gconvex_holds,
+    lipschitz_holds,
     midpoint_convexity_gap,
+    scalar_bounds_hold,
     subgradient_gap,
     taper,
 )
@@ -82,7 +88,7 @@ class TestDistPoint:
         o = fn_dist_point(z)
         for _ in range(1000):
             a, b = rand_point(rng, 4, 2.5), rand_point(rng, 4, 2.5)
-            assert subgradient_gap(o, a, b) >= -1e-8
+            assert gconvex_holds(subgradient_gap(o, a, b))
 
 
 class TestSqDistPoint:
@@ -207,7 +213,7 @@ class TestShiftedMax:
         m = fn_shifted_max(parts)
         for _ in range(1000):
             a, b = rand_point(rng, 3, 2.0), rand_point(rng, 3, 2.0)
-            assert subgradient_gap(m, a, b) >= -1e-8
+            assert gconvex_holds(subgradient_gap(m, a, b))
 
 
 def eager_detailed(m, x):
@@ -320,7 +326,7 @@ class TestPseudoAffine:
         o = fn_pseudo_affine(y, g)
         for _ in range(200):
             x = rand_point(rng, 3, 2.5)
-            assert o.grad(x).norm <= o.lipschitz + 1e-9
+            assert lipschitz_holds(o.grad(x).norm, o.lipschitz)
 
 
 class TestMoreau:
@@ -642,7 +648,27 @@ class TestTaper:
     def test_scalar_inequalities(self, R):
         D = np.geomspace(0.500001 * R * R, 1e6 * R * R, 1000)
         u, du, d2u = taper(D, R)
-        assert np.all(u + D * du >= -1e-12)                       # growth keeps sign
-        assert np.all(2 * du + D * d2u <= 1e-12)                  # taper concavity
+        # zeta(t) <= 1 + t on the same grid, growth keeps sign, taper concavity
+        assert scalar_bounds_hold(np.max(zeta(D) - (1.0 + D)), np.min(u + D * du),
+                                  np.max(2 * du + D * d2u))
         assert np.all((u + D * du) + (2 * du + D * d2u) * 2 * D > 0.0)
         assert np.all((u + D * du) * 2 * np.sqrt(2 * D) <= 4 * R + 1e-12)
+
+
+class TestCheckEdges:
+    # each zoo-validate rule is read from `oracles`: a value at its
+    # tolerance passes, the next double past it fails, and a NaN fails
+    def test_tolerances(self):
+        assert (GCONVEX_SLACK, LIPSCHITZ_ALLOWANCE, SCALAR_TOL) == (-1e-8, 1e-9, 1e-12)
+
+    @pytest.mark.parametrize("verdict,at,past", [
+        (gconvex_holds, GCONVEX_SLACK, -np.inf),
+        (lambda v: lipschitz_holds(v, 1.0), 1.0 + LIPSCHITZ_ALLOWANCE, np.inf),
+        (lambda v: scalar_bounds_hold(v, 0.0, 0.0), SCALAR_TOL, np.inf),
+        (lambda v: scalar_bounds_hold(0.0, v, 0.0), -SCALAR_TOL, -np.inf),
+        (lambda v: scalar_bounds_hold(0.0, 0.0, v), SCALAR_TOL, np.inf),
+    ], ids=["gconvex", "lipschitz", "zeta", "taper-growth", "taper-bend"])
+    def test_edge(self, verdict, at, past):
+        assert verdict(at)
+        assert not verdict(np.nextafter(at, past))
+        assert not verdict(np.nan)
