@@ -76,6 +76,57 @@ def _unit_log(x, y):
     return lg / dd if dd else lg
 
 
+def _fan_rows(normals) -> np.ndarray:
+    """The fan normals as float64 rows, coordinate 0 negated, so that
+    ``_fan_rows(normals) @ x`` approximates the forms ``<x, n_j>``."""
+    nf = np.array([[float(v) for v in n] for n in normals])
+    nf[:, 0] = -nf[:, 0]
+    return nf
+
+
+def _fan_screen(nf: np.ndarray, x) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 forms ``mf`` of x against the rows of ``_fan_rows`` and bounds E
+    with ``|mf_j - _mdot(x, n_j)| <= E_j / 2`` (README, "The fan screen").
+
+    E / 2 covers the float64 conversion of both operands (2^-53 relative
+    each, 2^-1074 absolute where they underflow), the float dot in any order
+    (gamma_D times sum |x_i n_i|, and underflow) and the 203-bit rounding of
+    ``_mdot``; the factor 2 leaves room for the rounding of E and of
+    ``E - mf`` in ``_fan_candidates``.  Non-finite entries propagate into
+    ``mf`` or E.
+    """
+    xf = np.array([float(v) for v in x])
+    ax = np.abs(xf)
+    D = xf.size
+    mf = nf @ xf
+    size = np.abs(nf) @ ax
+    tiny = 4.0 * D * 2.0 ** -1074 * (2.0 + ax.max() + np.abs(nf).max())
+    return mf, (2 * D + 16) * 2.0 ** -53 * size + tiny
+
+
+def _fan_candidates(mf: np.ndarray, E: np.ndarray) -> list[int]:
+    """Indices j, in order, whose ``_mdot(x, n_j)`` could be the most negative
+    form of the fan: ``E_j - mf_j`` (an upper bound on ``-<x, n_j>``) is
+    positive and reaches the largest lower bound ``-mf_k - E_k``.  Any
+    non-finite entry makes every index a candidate."""
+    hi, lo = E - mf, -mf - E
+    if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
+        return list(range(len(mf)))
+    return np.flatnonzero((hi > 0) & (hi >= max(0.0, lo.max()))).tolist()
+
+
+def _replay_value(x, xs, normals, nf, costh):
+    """dist(x, x*) + max(0, max_j asinh(-<x, n_j>)) / cos(theta), folding the
+    screened candidates in fan order; the bits equal those of the fold over
+    every normal (README, "The fan screen")."""
+    term = mpf(0)
+    for j in _fan_candidates(*_fan_screen(nf, x)):
+        m = _mdot(x, normals[j])
+        if m < 0:
+            term = max(term, mp.asinh(-m))
+    return _dist(x, xs) + term / costh
+
+
 def worst_trajectory_report(eps: float, r: float) -> resisting.WorstReplayReport:
     """Build the instance, run Polyak subgradient descent, measure deviations.
 
@@ -100,13 +151,7 @@ def worst_trajectory_report(eps: float, r: float) -> resisting.WorstReplayReport
         radii, deltas, y, xs, normals = resisting._ladder(
             ar, e, mpf(repr(r)), d, +1)
 
-        def value(x):
-            term = mpf(0)
-            for n in normals:
-                m = _mdot(x, n)
-                if m < 0:
-                    term = max(term, mp.asinh(-m))
-            return _dist(x, xs) + term / costh
+        nf = _fan_rows(normals)
 
         # acosh amplifies roundoff to 10^(-DPS/2) near coincident points, so
         # the match tolerance must sit well above that floor
@@ -129,7 +174,7 @@ def worst_trajectory_report(eps: float, r: float) -> resisting.WorstReplayReport
         iterates = [list(x)]
         gaps, ss, etas = [], [], []
         for k in range(d):
-            F = value(x)
+            F = _replay_value(x, xs, normals, nf, costh)
             gaps.append(F)
             ss.append(s)
             if k == d - 1:

@@ -96,7 +96,8 @@ def check_necessary(data: InterpData) -> NecessaryReport:
     """Evaluate all ordered pairs of the first-order inequalities.
 
     slack is the minimum of F_j - F_i - <g_i, log(x_j)> - mu/2 d^2; the data
-    passes when it is >= -1e-9.
+    passes when it is >= -1e-9.  The first NaN slack fails the data and is
+    reported with its pair.
     """
     worst = np.inf
     pair = None
@@ -107,6 +108,8 @@ def check_necessary(data: InterpData) -> NecessaryReport:
             d = dist(si.x, sj.x)
             s = sj.F - si.F - _mink_x(si.g.vec, log(si.x, sj.x).vec) \
                 - 0.5 * data.mu * d * d
+            if np.isnan(s):
+                return NecessaryReport(False, (i, j), float(s))
             if s < worst:
                 worst, pair = s, (i, j)
     if pair is None:
@@ -141,7 +144,7 @@ def construct_sufficient(data: InterpData) -> FnOracle | NotApplicable:
                    warn_on_ties=False)
     for i, s in enumerate(data.items):
         v = f.value(s.x)
-        if abs(v - s.F) > ROUNDTRIP_TOL * max(1.0, abs(s.F)):
+        if not (abs(v - s.F) <= ROUNDTRIP_TOL * max(1.0, abs(s.F))):
             raise GeometryViolation(f"interpolant misses value {i}: {v} vs {s.F}")
     return f
 
@@ -216,7 +219,7 @@ def minimal_function(F: float, y: HPoint, g: HTangent, x: HPoint
     f = fn_sum(parts, gconvex=True)
     value = f.value(x)
     target = F + align
-    if abs(value - target) > MINIMAL_TOL * max(1.0, abs(target)):
+    if not (abs(value - target) <= MINIMAL_TOL * max(1.0, abs(target))):
         raise GeometryViolation(f"minimal construction off target: {value} vs {target}")
     return f, value
 

@@ -153,6 +153,9 @@ class _Constant(FnOracle):
     def eval(self, x):
         return self.c, HTangent(x, np.zeros_like(x.coords))
 
+    def value(self, x):
+        return self.c
+
 
 def fn_constant(c: float) -> FnOracle:
     """The constant function (0 is a subgradient everywhere)."""
@@ -220,6 +223,10 @@ class SqDistToPoint(FnOracle):
     def eval(self, x):
         d = dist(x, self.z)
         return 0.5 * d * d, log(x, self.z).scaled(-1.0)
+
+    def value(self, x):
+        d = dist(x, self.z)
+        return 0.5 * d * d
 
 
 def fn_sqdist_point(z: HPoint) -> SqDistToPoint:
@@ -310,6 +317,12 @@ class _Sum(FnOracle):
             vec = vec + w * g.vec
         return total, HTangent(x, vec)
 
+    def value(self, x):
+        total = 0.0
+        for w, o in self.parts:
+            total += w * o.value(x)
+        return total
+
 
 def fn_sum(parts: list[tuple[float, FnOracle]], gconvex: bool = True) -> FnOracle:
     return _Sum(parts, gconvex=gconvex)
@@ -347,6 +360,11 @@ class PseudoAffine(FnOracle):
         perp = pg.vec - par
         grad = HTangent(x, par + (D / np.sinh(D)) * perp)
         return val, grad
+
+    def value(self, x):
+        if dist(self.y, x) == 0.0:
+            return 0.0
+        return float(_mink(self.g.vec, log(self.y, x).vec))
 
 
 def fn_pseudo_affine(y: HPoint, g: HTangent) -> PseudoAffine:

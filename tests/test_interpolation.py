@@ -248,6 +248,28 @@ class TestCheckEdges:
         assert not verdict(np.nextafter(at, past))
         assert not verdict(np.nan)
 
+    # a NaN fails the necessary inequalities and raises from both guards
+    def test_nan_slack_fails_and_names_its_pair(self):
+        x = base_point(2)
+        y = exp(x, hg.frame_at_base(2)[0].scaled(1.0))
+        data = InterpData([OracleSample(0.0, x, HTangent(x, np.zeros(3))),
+                           OracleSample(np.nan, y, HTangent(y, np.zeros(3)))])
+        rep = check_necessary(data)
+        assert (rep.ok, rep.worst_pair) == (False, (0, 1)) and np.isnan(rep.slack)
+        assert not obstructs(data, 1.0, 0.0)
+
+    def test_nan_value_raises_from_construct(self):
+        x = base_point(2)
+        data = InterpData([OracleSample(np.nan, x, HTangent(x, np.zeros(3)))], mu=1.0)
+        with pytest.raises(GeometryViolation, match="misses value 0"):
+            construct_sufficient(data)
+
+    def test_nan_value_raises_from_minimal(self, rng):
+        y = rand_point(rng, 3, 1.0)
+        x = exp(y, rand_unit(rng, y).scaled(1.2))
+        with pytest.raises(GeometryViolation, match="off target"):
+            minimal_function(np.nan, y, rand_tangent(rng, y, 1.0), x)
+
     def test_obstruction_is_strict(self):
         data, _, _ = obstruction_certificate(0.8)
         assert obstructs(data, np.nextafter(0.0, 1.0), 0.0)

@@ -27,18 +27,21 @@ from hypergconv.oracles import (
     LIPSCHITZ_ALLOWANCE,
     SCALAR_TOL,
     TIE_TOL,
+    MoreauEnvelope,
     MoreauParams,
     FnOracle,
     OracleSample,
     ShiftedMax,
     _StackedPieces,
     _prox_max_pieces,
+    fn_constant,
     fn_dist_point,
     fn_dist_sub,
     fn_moreau,
     fn_pseudo_affine,
     fn_shifted_max,
     fn_sqdist_point,
+    fn_sum,
     gconvex_holds,
     lipschitz_holds,
     midpoint_convexity_gap,
@@ -47,7 +50,7 @@ from hypergconv.oracles import (
     taper,
 )
 from hypergconv.resisting import nonsmooth_new, play, smooth_new
-from hypergconv.sampling import make_rng, random_point_in_ball
+from hypergconv.sampling import make_rng, random_point_in_ball, random_unit_tangent
 
 from conftest import rand_point, rand_tangent, rand_unit
 
@@ -272,11 +275,88 @@ class TestLazyMax:
         assert n_ties > 0
 
     def test_value_forms_no_gradient(self, rng, monkeypatch):
-        cases = list(_max_cases(rng))[:-1]  # the interpolant's sums form theirs
-        monkeypatch.setattr(oracles, "log", None)
+        # no part builds or transports a gradient; the maxes of distances read
+        # no log either (the interpolant's pseudo-affine parts need log_y(x)
+        # for their value)
+        cases = list(_max_cases(rng))
+        monkeypatch.setattr(oracles, "HTangent", None)
+        monkeypatch.setattr(oracles, "ptransport", None)
         for m, queries in cases:
             for x in queries:
                 m.value(x)
+        monkeypatch.setattr(oracles, "log", None)
+        for m, queries in cases[:-1]:
+            for x in queries:
+                m.value(x)
+
+
+def _fn_oracle_classes(cls=FnOracle):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _fn_oracle_classes(sub)
+
+
+# the one subclass whose value may differ from eval(x)[0] (README,
+# "Evaluating a max")
+VALUE_CONTRACT_EXEMPT = {
+    MoreauEnvelope: "value is an upper bound that skips eval's polish",
+}
+
+
+@functools.cache
+def _value_oracles():
+    """One oracle in H^3 per FnOracle subclass that defines value, and the
+    interp interpolant (a max of sums of a constant, a pseudo-affine part and
+    a squared distance), built as ``interpolation.interp_checks`` builds it."""
+    rng = make_rng(11)
+    x0 = base_point(3)
+    z = random_point_in_ball(rng, x0, 1.0)
+    g = random_unit_tangent(rng, z).scaled(0.8)
+    S = HalfSpace(z, random_unit_tangent(rng, z)).boundary
+    c = exp(x0, random_unit_tangent(rng, x0).scaled(0.7))
+    ps = [random_point_in_ball(rng, c, 0.45) for _ in range(6)]
+    items = [OracleSample(F, p, gp) for p, (F, gp) in zip(ps, map(fn_sqdist_point(c).eval, ps))]
+    return {
+        "constant": fn_constant(0.7),
+        "dist-sub": fn_dist_sub(S, 0.3),
+        "dist-point": fn_dist_point(z),
+        "sqdist-point": fn_sqdist_point(z),
+        "pseudo-affine": fn_pseudo_affine(z, g),
+        "sum": fn_sum([(1.0, fn_constant(-0.2)), (0.5, fn_sqdist_point(z)),
+                       (2.0, fn_pseudo_affine(z, g))], gconvex=False),
+        "max": fn_shifted_max([(fn_dist_point(z), 0.1), (fn_dist_sub(S, 0.0), 0.2)]),
+        "interpolant": construct_sufficient(InterpData(items, mu=1.0)),
+    }, z
+
+
+def _same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+class TestValueContract:
+    # value(x) == eval(x)[0] bit for bit (README, "Evaluating a max")
+    def test_every_value_override_is_covered(self):
+        defined = {c for c in _fn_oracle_classes()
+                   if "value" in vars(c) and c.__module__.startswith("hypergconv.")}
+        covered = {type(o) for o in _value_oracles()[0].values()}
+        assert defined - set(VALUE_CONTRACT_EXEMPT) == covered
+        assert set(VALUE_CONTRACT_EXEMPT) <= defined
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(_value_oracles()[0])), st.floats(0.0, 2.0),
+           st.integers(0, 2**32 - 1))
+    def test_value_is_eval_value(self, name, radius, seed):
+        o = _value_oracles()[0][name]
+        x0 = base_point(3)
+        x = exp(x0, random_unit_tangent(make_rng(seed), x0).scaled(radius))
+        assert _same_bits(o.value(x), o.eval(x)[0])
+
+    def test_at_the_anchors(self):
+        # z is the pseudo-affine anchor, the distance point and on S
+        oracles_, z = _value_oracles()
+        for o in oracles_.values():
+            for x in (z, base_point(3)):
+                assert _same_bits(o.value(x), o.eval(x)[0])
 
 
 class TestPseudoAffine:

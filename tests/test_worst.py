@@ -3,6 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 import hypergconv as hg
@@ -437,3 +438,124 @@ class TestGapBound:
         f, _, _ = game.finalize()
         rep = gap_bound_check(f, game.xref, game.r)
         assert rep.ok
+
+
+def _exhaustive_value(x, xs, normals, nf, costh):
+    """The replay's value over every fan normal, as it ran before the screen."""
+    term = mpf(0)
+    for n in normals:
+        m = highprec._mdot(x, n)
+        if m < 0:
+            term = max(term, mp.asinh(-m))
+    return highprec._dist(x, xs) + term / costh
+
+
+@pytest.mark.parametrize("eps,r", [(0.1, 11.0), (0.1, 14.0), (0.1, 20.0), (0.15, 30.0)])
+def test_screened_replay_equals_exhaustive(eps, r, monkeypatch):
+    screened = dataclasses.asdict(highprec.worst_trajectory_report(eps, r))
+    monkeypatch.setattr(highprec, "_replay_value", _exhaustive_value)
+    exhaustive = dataclasses.asdict(highprec.worst_trajectory_report(eps, r))
+    assert screened.keys() == exhaustive.keys()
+    for name, value in exhaustive.items():
+        assert screened[name] == value, name
+
+
+def _screen_case(x, normals):
+    """Candidates of the fan screen for mpf vectors, after checking the bound
+    |mf_j - <x, n_j>| <= E_j / 2 on every finite entry and that every normal
+    with the most negative form is a candidate; returns (candidates, forms)."""
+    with mp.workdps(highprec.DPS):
+        x = [mpf(v) for v in x]
+        normals = [[mpf(v) for v in n] for n in normals]
+        nf = highprec._fan_rows(normals)
+        mf, E = highprec._fan_screen(nf, x)
+        cand = highprec._fan_candidates(mf, E)
+        m = [highprec._mdot(x, n) for n in normals]
+        for j, (a, e) in enumerate(zip(mf, E)):
+            if np.isfinite(a) and np.isfinite(e):
+                assert abs(mpf(a) - m[j]) <= mpf(e) / 2, j
+        lowest = min(m)
+        if lowest < 0:
+            assert {j for j, v in enumerate(m) if v == lowest} <= set(cand)
+        # the screened fold gives the exhaustive fold's bits
+        fold = [mpf(0), mpf(0)]
+        for k, js in enumerate((cand, range(len(m)))):
+            for j in js:
+                if m[j] < 0:
+                    fold[k] = max(fold[k], mp.asinh(-m[j]))
+        assert fold[0] == fold[1]
+    return cand, m
+
+
+class TestFanScreen:
+    # forms are <x, n> = sum_{i>=1} x_i n_i - x_0 n_0, the mpf cases are built
+    # at the replay's precision
+    @pytest.fixture(autouse=True)
+    def _replay_precision(self):
+        with mp.workdps(highprec.DPS):
+            yield
+    def test_exact_zero_products(self):
+        # all forms vanish: nothing is provably negative, every index with a
+        # positive upper bound stays
+        cand, m = _screen_case([1, 0, 0, 0], [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        assert m == [0, 0, 0] and cand == [0, 1, 2]
+        # a clearly negative form rules the zeros out
+        cand, m = _screen_case([1, 0, 0, 0], [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0]])
+        assert cand == [1]
+
+    def test_either_sign_inside_the_bound(self):
+        # cosh 30-size entries cancel to +-cosh(30) 1e-30: the float64 form
+        # cannot tell the sign, so both stay next to a form of -1e-3
+        ch, sh = mp.cosh(30), mp.sinh(30)
+        d = mpf("1e-30")
+        cand, m = _screen_case([ch, sh, 0], [[sh + d, ch, 0], [sh - d, ch, 0], [0, 0, -1e-3]])
+        assert m[0] < 0 < m[1] and cand == [0, 1, 2]
+
+    def test_near_equal_negative_products(self):
+        # two forms 1e-40 apart both stay; a form 0.5 behind them goes
+        cand, m = _screen_case([1, 1, 0], [[0, -1, 0], [0, -1 - mpf("1e-40"), 0], [0, -0.5, 0]])
+        assert m[1] < m[0] and cand == [0, 1]
+
+    def test_underflowing_entries(self):
+        # products below the float64 range round to zero or to a subnormal:
+        # the mpf forms -1e-400 and -1e-800 stay, and decide the max; the
+        # subnormal -1.5 2^-1060 rules them both out
+        x = [0, mpf("1e-200"), mpf("1e-400"), mpf(2) ** -1060]
+        normals = [[0, mpf("-1e-200"), 0, 0], [0, 0, mpf("-1e-400"), 0], [0, 0, 0, -1.5]]
+        cand, m = _screen_case(x, normals[:2])
+        assert m[0] < m[1] < 0 and cand == [0, 1]
+        cand, m = _screen_case(x, normals)
+        assert min(m) == m[2] and cand == [2]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_entry_beyond_float64_makes_every_index_a_candidate(self):
+        cand, m = _screen_case([1, mpf("1e400"), 0], [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        assert cand == [0, 1, 2]
+        cand, m = _screen_case([1, 1, 0], [[0, mpf("-1e400"), 0], [0, 1, 0]])
+        assert cand == [0, 1]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(2, 8), st.integers(1, 5), st.integers(-1100, 40),
+           st.integers(0, 2**32 - 1))
+    def test_random_scales(self, D, n, low, seed):
+        # entries at scales from 2^low to 2^40; the last normal's form
+        # cancels to 2^-150 of its terms
+        rng = make_rng(seed)
+
+        def entries(k):
+            return [mpf(float(v)) * mpf(2) ** int(e) for v, e in
+                    zip(rng.standard_normal(k), rng.integers(low, 41, k))]
+        x = entries(D)
+        normals = [entries(D) for _ in range(n)]
+        c = entries(D)
+        c[0] = sum(a * b for a, b in zip(x[1:], c[1:])) / x[0] \
+            * (1 + mpf(float(rng.standard_normal())) * mpf(2) ** -150)
+        _screen_case(x, normals + [c])
+
+    def test_screen_cuts_the_exact_forms(self, monkeypatch):
+        # the 4,394 forms of the exhaustive replay at eps = 0.1, r = 20 fall to 670
+        calls = []
+        real = highprec._mdot
+        monkeypatch.setattr(highprec, "_mdot", lambda u, v: calls.append(1) or real(u, v))
+        highprec.worst_trajectory_report(0.1, 20.0)
+        assert len(calls) == 670

@@ -1,5 +1,5 @@
-"""Per-call cost of the hyperboloid primitives, the cut-game adversary and
-the Moreau envelope's bracket and solve.
+"""Per-call cost of the hyperboloid primitives, the cut-game adversary, the
+Moreau envelope's bracket and solve, and the value paths of ``certify``.
 
     python3 tools/primitives_us.py
 
@@ -35,6 +35,18 @@ wider than ``BRACKET_TOL``: ``MoreauEnvelope.bracket`` in µs/call (best of 5
 repeats of 200 calls) and ``MoreauEnvelope.value`` there, which solves, in
 ms/call (best of 5 repeats of 5 calls).
 
+A fourth table times what the ``certify`` workload evaluates most:
+
+- the ``interp`` interpolant (``construct_sufficient`` on six samples of
+  dist(., z)^2/2 in H^3, built as ``interpolation.interp_checks`` builds
+  it, seed 0): ``ShiftedMax.value`` and ``eval`` at a seeded point of
+  B(x_0, 2), in µs/call (best of 5 repeats of 500 calls);
+- one of its parts' ``PseudoAffine``, ``value`` against ``eval``, the same
+  way;
+- the mpmath replay's value (``highprec._replay_value``) at eps = 0.1,
+  r = 20, in ms/call: the d = 62 iterates of one replay are recorded, then
+  all of them are evaluated again (best of 5 repeats).
+
 Run from anywhere; the package is imported from this checkout's ``src``.
 """
 
@@ -46,14 +58,17 @@ import timeit
 from pathlib import Path
 
 import numpy as np
+from mpmath import mp
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from hypergconv import highprec  # noqa: E402
 from hypergconv.cutting import (  # noqa: E402
     CutConfig, CutGameState, adversary_respond, new_game)
 from hypergconv.hyperboloid import (  # noqa: E402
     HalfSpace, HPoint, _mink_x, _mink_x_rows, base_point, dist, exp, log, sub_dist)
-from hypergconv.oracles import BRACKET_TOL  # noqa: E402
+from hypergconv.interpolation import InterpData, construct_sufficient  # noqa: E402
+from hypergconv.oracles import BRACKET_TOL, OracleSample, fn_sqdist_point  # noqa: E402
 from hypergconv.resisting import play, smooth_new  # noqa: E402
 from hypergconv.sampling import (  # noqa: E402
     make_rng, random_point_in_ball, random_unit_tangent)
@@ -115,6 +130,37 @@ def envelope_calls() -> tuple[float, float]:
     return bracket_us, value_ms
 
 
+def certify_calls() -> dict:
+    rng = make_rng(0)
+    x0 = base_point(3)
+    z = exp(x0, random_unit_tangent(rng, x0).scaled(0.7))
+    ps = [random_point_in_ball(rng, z, 0.45) for _ in range(6)]
+    f = construct_sufficient(InterpData(
+        [OracleSample(F, p, g) for p, (F, g) in zip(ps, map(fn_sqdist_point(z).eval, ps))],
+        mu=1.0))
+    pa = f.parts[0][0].parts[1][1]
+    x = random_point_in_ball(rng, x0, 2.0)
+    return {
+        "interpolant value": lambda: f.value(x),
+        "interpolant eval": lambda: f.eval(x),
+        "PseudoAffine value": lambda: pa.value(x),
+        "PseudoAffine eval": lambda: pa.eval(x),
+    }
+
+
+def replay_value_ms() -> float:
+    args = []
+    real = highprec._replay_value
+    highprec._replay_value = lambda *a: args.append(a) or real(*a)
+    try:
+        highprec.worst_trajectory_report(0.1, 20.0)
+    finally:
+        highprec._replay_value = real
+    with mp.workdps(highprec.DPS):
+        best = min(timeit.repeat(lambda: [real(*a) for a in args], number=1, repeat=5))
+    return best / len(args) * 1e3
+
+
 def main() -> None:
     table = {}
     for D in DIMS:
@@ -135,6 +181,11 @@ def main() -> None:
     print("smoothed game T=16, r=5, at a wide bracket, best of 5")
     print(f"{'MoreauEnvelope.bracket':<24}{bracket_us:9.2f} µs/call")
     print(f"{'MoreauEnvelope.value':<24}{value_ms:9.2f} ms/call (solves)")
+    print()
+    print("certify: interp interpolant (six parts, H^3) and replay, best of 5")
+    for name, f in certify_calls().items():
+        print(f"{name:<24}{min(timeit.repeat(f, number=500, repeat=5)) / 500 * 1e6:9.2f} µs/call")
+    print(f"{'replay value r=20':<24}{replay_value_ms():9.2f} ms/call")
 
 
 if __name__ == "__main__":
