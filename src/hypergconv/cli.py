@@ -1,9 +1,12 @@
 """Batch experiment driver: JSON config in, CSV summary + JSON transcript out.
 
-Exit codes: 0 all checks passed, 1 at least one check failed (the failing
-row is printed), 2 unusable config.  Reruns with the same config and seed
-produce byte-identical CSV bodies except for the runtime column, which is
-excluded from the determinism contract.
+``RUNNERS`` passes each kind's config to the check generator of the module
+that judges its rows (README, "What each CLI row checks"); this module only
+times, formats and writes them.  Exit codes: 0 all checks passed, 1 at least
+one check failed (the failing row is printed), 2 unusable config, including a
+refused value or range (``DomainError``, ``RangeLimitError``).  Reruns with the
+same config and seed produce byte-identical CSV bodies except for the runtime
+column, which is excluded from the determinism contract.
 """
 
 from __future__ import annotations
@@ -21,11 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import cutting, interpolation, oracles, resisting
-from .oracles import CHORD_ALLOWANCE, SANDWICH_ALLOWANCE, worst_chord_slope
+from .hyperboloid import DomainError, RangeLimitError
 from .sampling import make_rng
-
-KINDS = ["lb-nonsmooth", "lb-smooth", "polyak-worst", "cut-game", "interp",
-         "zoo-validate", "sweep"]
 
 CSV_COLUMNS = ["kind", "case", "measured", "bound", "passed", "runtime_s"]
 
@@ -41,120 +41,6 @@ def _row(kind, case, measured, bound, passed, runtime):
     }
 
 
-# ---------------------------------------------------------------------------
-# experiment runners: each returns (rows, transcript)
-# ---------------------------------------------------------------------------
-
-
-def _game_rows(kind, game_factory, players, seed, extra_checks=None):
-    rows, transcript = [], {}
-    for name in players:
-        t0 = time.perf_counter()
-        game = game_factory()
-        resisting.play(game, name, seed)
-        cert, replay = game.certificate(), game.replay_residual()
-        extra_ok, extra_info = extra_checks(game, seed) if extra_checks else (True, {})
-        dt = time.perf_counter() - t0
-        rows.append(_row(kind, f"player={name}", cert["min_recorded_gap"], cert["gap_bound"],
-                         not game.failed_checks(cert, replay) and extra_ok, dt))
-        transcript[name] = {
-            "certificate": cert,
-            "replay_residual": replay,
-            "chosen": game.chosen,
-            **extra_info,
-        }
-    return rows, transcript
-
-
-def run_lb_nonsmooth(params, seed):
-    T, r = int(params["T"]), float(params["r"])
-    players = params.get("players", ["polyak", "rgd", "random"])
-    return _game_rows("lb-nonsmooth", lambda: resisting.nonsmooth_new(T, r),
-                      players, seed)
-
-
-def run_lb_smooth(params, seed):
-    T, r = int(params["T"]), float(params["r"])
-    players = params.get("players", ["polyak"])
-    n_sandwich = int(params.get("sandwich_samples", 20))
-    n_chords = int(params.get("chord_samples", 12))
-
-    def extra(game, seed):
-        rng = make_rng(seed + 1)
-        L = game.smoothness
-        worst_sandwich = game.worst_sandwich(rng, n_sandwich)
-        f, _, _ = game.finalize()
-        worst_slope = worst_chord_slope(f, rng, game.xref, game.r / 2.0,
-                                        game.lam, n_chords)
-        ok = worst_sandwich <= SANDWICH_ALLOWANCE and worst_slope <= L + CHORD_ALLOWANCE
-        return ok, {"worst_sandwich": worst_sandwich,
-                    "worst_chord_slope": worst_slope, "L": L}
-
-    return _game_rows("lb-smooth", lambda: resisting.smooth_new(T, r),
-                      players, seed, extra_checks=extra)
-
-
-def run_polyak_worst(params, seed):
-    if "highprec" in params:
-        raise ValueError("polyak-worst takes no 'highprec' key: the mpmath "
-                         "replay runs exactly when r > 10")
-    eps, r = float(params["eps"]), float(params["r"])
-    use_hp = r > 10.0
-    t0 = time.perf_counter()
-    if use_hp:
-        # imported here so that ``import hypergconv.cli`` never loads mpmath
-        from . import highprec as replay
-    else:
-        replay = resisting
-    rep = replay.worst_trajectory_report(eps, r)
-    dt = time.perf_counter() - t0
-    rows = [_row("polyak-worst", f"eps={eps},r={r},{case}", measured, bound,
-                 passed, 0.0 if i else dt)
-            for i, (case, measured, bound, passed) in enumerate(rep.checks(r))]
-    transcript = {"d": rep.d, "highprec": use_hp, "ladder_err": rep.max_ladder_dist,
-                  "radius_err": rep.max_radius_err, "step_err": rep.max_step_err,
-                  "gap_err": rep.max_gap_err, "min_gap": rep.min_gap}
-    return rows, transcript
-
-
-def run_cut_game(params, seed):
-    d, r = int(params.get("d", 3)), float(params.get("r", 6.0))
-    eps = params.get("eps", 0.1)
-    games = int(params.get("games", 5))
-    max_rounds = int(params.get("max_rounds", 40))
-    players = {"random": cutting.random_ball_player, "center": cutting.repeat_center_player}
-    player_name = params.get("player", "random")
-    if player_name not in players:
-        raise ValueError(f"unknown cut-game player {player_name!r}")
-    rows, games_t = [], []
-    total_rounds = quarter_ok_rounds = 0
-    all_ok = True
-    for i in range(games):
-        t0 = time.perf_counter()
-        cfg = cutting.CutConfig(d=d, r=r, eps=eps, seed=seed + i,
-                                max_rounds=max_rounds)
-        tr = cutting.play_game(cfg, players[player_name](cfg))
-        dt = time.perf_counter() - t0
-        ok = tr.state.verify_consistency() and tr.replay_ok()
-        nrounds = len(tr.state.history)
-        nquarter = sum(1 for rec in tr.state.history if rec.quarter_ok)
-        total_rounds += nrounds
-        quarter_ok_rounds += nquarter
-        all_ok &= ok
-        rows.append(_row("cut-game", f"seed={seed + i}",
-                         nquarter / max(nrounds, 1), 0.25, ok, dt))
-        games_t.append({"seed": seed + i, "packing_size": tr.packing_size,
-                        "floor": tr.floor, "rounds": tr.rounds_survived,
-                        "exhausted": tr.exhausted,
-                        "quarter_violations": tr.quarter_violations,
-                        "target_rounds": cfg.target_rounds()})
-    frac = quarter_ok_rounds / max(total_rounds, 1)
-    rows.append(_row("cut-game", "aggregate-quarter-law", frac,
-                     cutting.QUARTER_LAW_SHARE,
-                     cutting.quarter_law_holds(frac) and all_ok, 0.0))
-    return rows, {"games": games_t, "quarter_fraction": frac}
-
-
 def _timed_rows(kind, checks):
     """Rows of the (case, measured, bound, passed) a check generator yields,
     each timed from the end of the one before."""
@@ -167,61 +53,74 @@ def _timed_rows(kind, checks):
     return rows
 
 
-def run_interp(params, seed):
-    lo, hi, n = params.get("theta_grid", [0.1, 1.4, 14])
-    rows = _timed_rows("interp", interpolation.interp_checks(
-        make_rng(seed), np.linspace(lo, hi, int(n)), int(params.get("triples", 100))))
-    return rows, {"rows": len(rows)}
+def _runner(kind, checks, count=None):
+    """The (params, seed) -> (rows, transcript) runner of a kind, consuming
+    its generator ``checks(params, seed, transcript)``; a kind whose generator
+    fills no transcript records its row count under ``count``."""
+    def run_kind(params, seed):
+        transcript = {}
+        rows = _timed_rows(kind, checks(params, seed, transcript))
+        if count:
+            transcript[count] = len(rows)
+        return rows, transcript
+    return run_kind
 
 
-def run_zoo_validate(params, seed):
-    rows = _timed_rows("zoo-validate", oracles.zoo_checks(
-        make_rng(seed), int(params.get("d", 4)), int(params.get("samples", 200))))
-    return rows, {"suites": len(rows)}
+def _interp_checks(p, seed, t):
+    lo, hi, n = p.get("theta_grid", [0.1, 1.4, 14])
+    return interpolation.interp_checks(make_rng(seed), np.linspace(lo, hi, int(n)),
+                                       int(p.get("triples", 100)))
 
 
+# each kind's config keys and their defaults, passed to its module's checks
 RUNNERS = {
-    "lb-nonsmooth": run_lb_nonsmooth,
-    "lb-smooth": run_lb_smooth,
-    "polyak-worst": run_polyak_worst,
-    "cut-game": run_cut_game,
-    "interp": run_interp,
-    "zoo-validate": run_zoo_validate,
+    "lb-nonsmooth": _runner("lb-nonsmooth", lambda p, seed, t: resisting.game_checks(
+        resisting.nonsmooth_new, int(p["T"]), float(p["r"]),
+        p.get("players", ["polyak", "rgd", "random"]), seed, t)),
+    "lb-smooth": _runner("lb-smooth", lambda p, seed, t: resisting.game_checks(
+        resisting.smooth_new, int(p["T"]), float(p["r"]), p.get("players", ["polyak"]),
+        seed, t, n_sandwich=int(p.get("sandwich_samples", 20)),
+        n_chords=int(p.get("chord_samples", 12)))),
+    "polyak-worst": _runner("polyak-worst", lambda p, seed, t: resisting.ladder_checks(
+        float(p["eps"]), float(p["r"]), t, p.keys())),
+    "cut-game": _runner("cut-game", lambda p, seed, t: cutting.cut_game_checks(
+        int(p.get("d", 3)), float(p.get("r", 6.0)), p.get("eps", 0.1),
+        int(p.get("games", 5)), int(p.get("max_rounds", 40)),
+        p.get("player", "random"), seed, t)),
+    "interp": _runner("interp", _interp_checks, "rows"),
+    "zoo-validate": _runner("zoo-validate", lambda p, seed, t: oracles.zoo_checks(
+        make_rng(seed), int(p.get("d", 4)), int(p.get("samples", 200))), "suites"),
 }
+KINDS = [*RUNNERS, "sweep"]
 
 
 def run_sweep(params, seed):
     kind = params["kind"]
     if kind not in RUNNERS:
-        raise ValueError(f"sweep over unknown kind {kind!r}")
-    base = dict(params.get("base", {}))
+        raise DomainError(f"sweep over unknown kind {kind!r}")
+    base = params.get("base", {})
     grid = params.get("grid", {})
     keys = sorted(grid)
-    rows, transcript = [], []
+    for k in keys:
+        if not isinstance(grid[k], list):
+            raise DomainError(f"sweep grid axis {k!r} is not a list")
     # empty grid means an empty sweep (header-only CSV)
     cells = list(itertools.product(*(grid[k] for k in keys))) if keys else []
     threads = int(os.environ.get("HYPERGCONV_THREADS", "1"))
 
-    def one(idx_cell):
-        idx, cell = idx_cell
-        cell_params = dict(base)
-        cell_params.update(dict(zip(keys, cell)))
-        r, t = RUNNERS[kind](cell_params, seed + idx)
+    def one(idx, cell):
+        r, t = RUNNERS[kind]({**base, **dict(zip(keys, cell))}, seed + idx)
         label = ",".join(f"{k}={v}" for k, v in zip(keys, cell))
         for row in r:
             row["case"] = f"{label}|{row['case']}" if label else row["case"]
-        return idx, r, {"cell": label, "transcript": t}
+        return r, {"cell": label, "transcript": t}
 
-    jobs = list(enumerate(cells))
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            results = sorted(ex.map(one, jobs), key=lambda t: t[0])
+            results = list(ex.map(one, range(len(cells)), cells))  # in cell order
     else:
-        results = [one(j) for j in jobs]
-    for _, r, t in results:
-        rows.extend(r)
-        transcript.append(t)
-    return rows, {"cells": transcript}
+        results = [one(idx, cell) for idx, cell in enumerate(cells)]
+    return [row for r, _ in results for row in r], {"cells": [t for _, t in results]}
 
 
 def run(kind: str, config: dict, seed: int | None, out_dir: Path) -> int:
@@ -266,8 +165,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return run(args.kind, config, args.seed, Path(args.out))
-    except KeyError as e:
-        print(f"config error: missing parameter {e}", file=sys.stderr)
+    except (KeyError, DomainError, RangeLimitError) as e:
+        missing = "missing parameter " if isinstance(e, KeyError) else ""
+        print(f"config error: {missing}{e}", file=sys.stderr)
         return 2
 
 

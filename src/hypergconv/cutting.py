@@ -36,6 +36,8 @@ __all__ = [
     "play_game",
     "repeat_center_player",
     "random_ball_player",
+    "PLAYERS",
+    "cut_game_checks",
     "write_transcript_json",
     "write_summary_csv",
 ]
@@ -441,6 +443,39 @@ def play_game(cfg: CutConfig, player=None) -> GameTranscript:
     quarter_violations = sum(1 for rec in state.history if not rec.quarter_ok)
     return GameTranscript(cfg, packing_size, packing_floor(cfg), rounds,
                           exhausted, quarter_violations, xstar, state)
+
+
+PLAYERS = {"random": random_ball_player, "center": repeat_center_player}
+
+
+def cut_game_checks(d: int, r: float, eps: float | None, games: int, max_rounds: int,
+                    player: str, seed: int, transcript: dict):
+    """Yield the ``cut-game`` rows (case, measured, bound, passed), one per game
+    of ``PLAYERS[player]`` at seed + i and then the aggregate row, and record
+    each game in ``transcript["games"]`` (README, "What each CLI row checks")."""
+    if player not in PLAYERS:
+        raise DomainError(f"unknown cut-game player {player!r}")
+    transcript["games"] = []
+    rounds = quarter_rounds = 0
+    all_ok = True
+    for i in range(games):
+        cfg = CutConfig(d=d, r=r, eps=eps, seed=seed + i, max_rounds=max_rounds)
+        tr = play_game(cfg, PLAYERS[player](cfg))
+        ok = tr.state.verify_consistency() and tr.replay_ok()
+        n = len(tr.state.history)
+        kept = n - tr.quarter_violations  # rounds that kept a quarter
+        rounds += n
+        quarter_rounds += kept
+        all_ok &= ok
+        transcript["games"].append({
+            "seed": seed + i, "packing_size": tr.packing_size, "floor": tr.floor,
+            "rounds": tr.rounds_survived, "exhausted": tr.exhausted,
+            "quarter_violations": tr.quarter_violations,
+            "target_rounds": cfg.target_rounds()})
+        yield f"seed={seed + i}", kept / max(n, 1), 0.25, ok
+    share = quarter_rounds / max(rounds, 1)
+    transcript["quarter_fraction"] = share
+    yield "aggregate-quarter-law", share, QUARTER_LAW_SHARE, quarter_law_holds(share) and all_ok
 
 
 def write_transcript_json(tr: GameTranscript, path) -> None:

@@ -49,6 +49,8 @@ from .hyperboloid import (
     zeta,
 )
 from .oracles import (
+    CHORD_ALLOWANCE,
+    SANDWICH_ALLOWANCE,
     DistToSub,
     FnOracle,
     MoreauParams,
@@ -57,6 +59,7 @@ from .oracles import (
     fn_dist_sub,
     fn_moreau,
     sandwich_violation,
+    worst_chord_slope,
 )
 from .sampling import make_rng, random_point_in_ball
 from .solvers import Trace, polyak_sgd, rgd
@@ -73,9 +76,11 @@ __all__ = [
     "nonsmooth_gap_bound",
     "smooth_gap_bound",
     "play",
+    "game_checks",
     "worst_build",
     "worst_oracle",
     "worst_trajectory_report",
+    "ladder_checks",
     "a2_check",
     "gap_bound_check",
     "export_transcript_jsonl",
@@ -285,6 +290,10 @@ class _GameBase:
         }
         return [name for name, ok in passed.items() if not ok]
 
+    def sampled_checks(self, seed: int) -> tuple[bool, dict]:
+        """Whether the sampled checks pass, and what they measured: none here."""
+        return True, {}
+
     def gap_bound(self) -> float:
         raise NotImplementedError
 
@@ -323,6 +332,21 @@ class SmoothGame(_GameBase):
                 # np.max carries a NaN through; the builtin max would drop it
                 worst = float(np.max([worst, v]))
         return worst
+
+    def sampled_checks(self, seed: int, n_sandwich: int, n_chords: int) -> tuple[bool, dict]:
+        """The sandwich at n_sandwich points per query, then n_chords chords of
+        the final envelope in B(x_ref, r/2), both drawn from make_rng(seed + 1)."""
+        rng = make_rng(seed + 1)
+        worst_sandwich = self.worst_sandwich(rng, n_sandwich)
+        f, _, _ = self.finalize()
+        slope = worst_chord_slope(f, rng, self.xref, self.r / 2.0, self.lam, n_chords)
+        return self.samples_pass(worst_sandwich, slope), {
+            "worst_sandwich": worst_sandwich, "worst_chord_slope": slope, "L": self.smoothness}
+
+    def samples_pass(self, worst_sandwich: float, worst_slope: float) -> bool:
+        """Sandwich <= SANDWICH_ALLOWANCE, slope <= L + CHORD_ALLOWANCE; NaN fails."""
+        return bool(worst_sandwich <= SANDWICH_ALLOWANCE
+                    and worst_slope <= self.smoothness + CHORD_ALLOWANCE)
 
     def gap_bound(self) -> float:
         return smooth_gap_bound(self.T, self.r)
@@ -386,7 +410,7 @@ def play(game: _GameBase, player: str, seed: int) -> Trace:
     if player == "rgd":
         return rgd(go, step=game.r / (4.0 * game.T), x0=game.xref, T=game.T)
     if player != "random":
-        raise ValueError(f"unknown player {player!r}")
+        raise DomainError(f"unknown player {player!r}")
     rng = make_rng(seed)
     trace = Trace()
     for _ in range(game.T):
@@ -394,6 +418,23 @@ def play(game: _GameBase, player: str, seed: int) -> Trace:
         F, g = go.eval(x)
         trace.samples.append(OracleSample(F, x, g))
     return trace
+
+
+def game_checks(new_game, T: int, r: float, players, seed: int, transcript: dict,
+                **samples):
+    """Yield the ``lb-nonsmooth`` or ``lb-smooth`` rows (case, measured, bound,
+    passed), one per player of a fresh ``new_game(T, r)``, and record each
+    player's certificate in ``transcript[player]`` (README, "What each CLI row
+    checks"); ``samples`` are the counts of the game's ``sampled_checks``."""
+    for name in players:
+        game = new_game(T, r)
+        play(game, name, seed)
+        cert, replay = game.certificate(), game.replay_residual()
+        sampled_ok, sampled = game.sampled_checks(seed, **samples)
+        transcript[name] = {"certificate": cert, "replay_residual": replay,
+                            "chosen": game.chosen, **sampled}
+        yield (f"player={name}", cert["min_recorded_gap"], cert["gap_bound"],
+               not game.failed_checks(cert, replay) and sampled_ok)
 
 
 def export_transcript_jsonl(game: _GameBase, path) -> None:
@@ -507,7 +548,7 @@ def worst_build(eps: float, r: float, pick: int = +1) -> WorstInstance:
 
     def fan(V):
         nV = np.sqrt(max(_mink_x(V, V), 0.0))
-        if abs(nV - np.tan(theta)) > 1e-6 * max(1.0, np.tan(theta)):
+        if not (abs(nV - np.tan(theta)) <= 1e-6 * max(1.0, np.tan(theta))):
             raise GeometryViolation("half-space normal norm deviates from tan(theta)")
         return V / nV
 
@@ -537,21 +578,21 @@ def _verify_instance(inst: WorstInstance) -> None:
     for k in range(1, d):
         lhs = np.cosh(inst.radii[k - 1])
         rhs = np.cosh(inst.radii[k]) * np.cosh(inst.deltas[k - 1])
-        if abs(lhs - rhs) > 1e-9 * max(1.0, lhs):
+        if not (abs(lhs - rhs) <= 1e-9 * max(1.0, lhs)):
             raise GeometryViolation("triangle identity failed in the ladder")
-    if min(inst.radii) < inst.r / 2.0 - 1e-9:
+    if not (np.min(inst.radii) >= inst.r / 2.0 - 1e-9):
         raise GeometryViolation("ladder radius fell below r/2")
     gram = _mink_x_rows(np.repeat(ax, d, 0), np.tile(ax, (d, 1))).reshape(d, d)
-    if np.max(np.abs(gram - np.eye(d))) > 1e-8:
+    if not (np.max(np.abs(gram - np.eye(d))) <= 1e-8):
         raise GeometryViolation("ladder axes lost orthonormality")
     for k in range(1, d):
-        if np.max(np.abs(_mink_x_rows(ax[:k], inst.ladder[k].coords))) > 1e-8:
+        if not (np.max(np.abs(_mink_x_rows(ax[:k], inst.ladder[k].coords))) <= 1e-8):
             raise GeometryViolation("ladder point left its orthogonality slab")
     lg_last = log(inst.ladder[-1], inst.xstar)
-    if np.max(np.abs(_mink_x_rows(ax[:d - 1], lg_last.vec))) > 1e-8:
+    if not (np.max(np.abs(_mink_x_rows(ax[:d - 1], lg_last.vec))) <= 1e-8):
         raise GeometryViolation("x* direction is not orthogonal to the ladder span")
-    for k, L in enumerate(inst.halfspaces):
-        if abs(L.margin(inst.xstar)) > 1e-8:
+    for L in inst.halfspaces:
+        if not (abs(L.margin(inst.xstar)) <= 1e-8):
             raise GeometryViolation("x* is not on a half-space boundary")
 
 
@@ -692,6 +733,28 @@ def worst_trajectory_report(eps: float, r: float) -> WorstReplayReport:
     return _replay_report(inst.d, inst.M, inst.radii, inst.deltas, trace.gaps,
                           trace.radii, trace.step_lengths,
                           [dist(s.x, y) for s, y in zip(trace.samples, inst.ladder)])
+
+
+def ladder_checks(eps: float, r: float, transcript: dict, keys=()):
+    """Yield the ``polyak-worst`` rows of ``WorstReplayReport.checks(r)`` and
+    record the report in ``transcript``.  The replay runs in mpmath exactly
+    when r > 10, so a caller whose parameter ``keys`` name ``highprec`` is
+    refused."""
+    if "highprec" in keys:
+        raise DomainError("polyak-worst takes no 'highprec' key: the mpmath "
+                          "replay runs exactly when r > 10")
+    use_hp = r > 10.0
+    if use_hp:
+        # imported here so that ``import hypergconv.cli`` never loads mpmath
+        from . import highprec
+        rep = highprec.worst_trajectory_report(eps, r)
+    else:
+        rep = worst_trajectory_report(eps, r)
+    transcript.update({"d": rep.d, "highprec": use_hp, "ladder_err": rep.max_ladder_dist,
+                       "radius_err": rep.max_radius_err, "step_err": rep.max_step_err,
+                       "gap_err": rep.max_gap_err, "min_gap": rep.min_gap})
+    for case, measured, bound, passed in rep.checks(r):
+        yield f"eps={eps},r={r},{case}", measured, bound, passed
 
 
 # ---------------------------------------------------------------------------

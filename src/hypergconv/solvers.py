@@ -67,8 +67,8 @@ def polyak_sgd(f: FnOracle, fstar: float, x0: HPoint, s0: float, T: int) -> Trac
         trace.samples.append(OracleSample(F, x, g))
         trace.gaps.append(gap)
         trace.radii.append(s)
-        if gap < -GAP_SLACK * max(1.0, abs(fstar)):
-            raise CertificateError(f"observed value below the supplied f* by {-gap}")
+        if not (-gap <= GAP_SLACK * max(1.0, abs(fstar))):
+            raise CertificateError(f"observed value {F} is below the supplied f* by {-gap}")
         gnorm = g.norm
         if gap <= 0.0 or gnorm == 0.0:
             break
@@ -80,10 +80,10 @@ def polyak_sgd(f: FnOracle, fstar: float, x0: HPoint, s0: float, T: int) -> Trac
         # the certified-cosine noise floor grows with the coordinate scale
         # cosh(s); only violations beyond it falsify the certificate
         slack = max(COS_CLAMP_SLACK, 64.0 * np.finfo(float).eps * np.cosh(min(s, R_MAX)) ** 2)
-        if c > 1.0 + slack:
+        if not (c <= 1.0 + slack):
             raise CertificateError(
                 f"cos(theta)={c} > 1: f* or the radius certificate is wrong")
-        c = min(c, 1.0)
+        c = float(np.minimum(c, 1.0))
         eta_g = float(np.arctanh(c * np.tanh(s)))
         trace.step_lengths.append(eta_g)
         x = exp(x, g.scaled(-eta_g / gnorm))

@@ -396,6 +396,20 @@ class TestQuarterLaw:
         assert not quarter_law_holds(float("nan"))
 
 
+class TestCheckEdges:
+    # a game whose consistency or replay check fails fails its own row and the
+    # aggregate row, and no other
+    @pytest.mark.parametrize("owner,method", [
+        (cutting.GameTranscript, "replay_ok"), (CutGameState, "verify_consistency")])
+    def test_failed_game_fails_its_row(self, monkeypatch, owner, method):
+        monkeypatch.setattr(owner, method, lambda self: self.cfg.seed != 2)
+        transcript = {}
+        rows = list(cutting.cut_game_checks(3, 4.0, 0.12, 2, 5, "random", 1, transcript))
+        assert [(case, passed) for case, _, _, passed in rows] == [
+            ("seed=1", True), ("seed=2", False), ("aggregate-quarter-law", False)]
+        assert [g["seed"] for g in transcript["games"]] == [1, 2]
+
+
 class TestPlayGame:
     def test_repeat_center_consistency_and_replay(self):
         cfg = CutConfig(d=3, r=6.0, eps=0.1, seed=7, max_rounds=25)

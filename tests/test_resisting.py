@@ -342,5 +342,15 @@ class TestCheckEdges:
     def test_chord_allowance(self):
         assert CHORD_ALLOWANCE == 1e-3
 
+    # lb-smooth's sampled rule: a sandwich violation up to SANDWICH_ALLOWANCE
+    # and a chord slope up to L + CHORD_ALLOWANCE
+    @pytest.mark.parametrize("slot,at", [(0, SANDWICH_ALLOWANCE), (1, 2.0 + CHORD_ALLOWANCE)])
+    def test_sampled_rule(self, slot, at):
+        game = SimpleNamespace(smoothness=np.float64(2.0))
+        for value, ok in ((at, True), (np.nextafter(at, np.inf), False), (np.nan, False)):
+            measured = [0.0, 0.0]
+            measured[slot] = value
+            assert resisting.SmoothGame.samples_pass(game, *measured) is ok
+
     def test_sandwich_allowance(self):
         assert SANDWICH_ALLOWANCE == 1e-9

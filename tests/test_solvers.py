@@ -3,7 +3,7 @@ import pytest
 
 from hypergconv import base_point, dist, exp, zeta
 from hypergconv.instances import max_of_distances_instance
-from hypergconv.oracles import fn_dist_point, fn_sqdist_point
+from hypergconv.oracles import FnOracle, fn_dist_point, fn_sqdist_point
 from hypergconv.sampling import make_rng
 from hypergconv.solvers import (
     CertificateError,
@@ -87,6 +87,22 @@ class TestPolyak:
         f = fn_dist_point(z)
         with pytest.raises(CertificateError):
             polyak_sgd(f, fstar=1.0, x0=z, s0=2.0, T=3)
+
+    # a NaN answer raises at once, whether or not a step would follow it
+    @pytest.mark.parametrize("T,first_nan", [(1, 1), (4, 2)])
+    def test_nan_answer_raises(self, rng, T, first_nan):
+        f = fn_dist_point(rand_point(rng, 3, 1.0))
+        calls = []
+
+        class NanFrom(FnOracle):
+            def eval(self, x):
+                calls.append(x)
+                F, g = f.eval(x)
+                return (np.nan if len(calls) >= first_nan else F), g
+
+        with pytest.raises(CertificateError):
+            polyak_sgd(NanFrom(), fstar=0.0, x0=base_point(3), s0=3.0, T=T)
+        assert len(calls) == first_nan
 
 
 class TestRGD:

@@ -49,6 +49,15 @@ class TestBuild:
         with pytest.raises(DomainError):
             highprec.worst_trajectory_report(0.1, r)
 
+    # one NaN radius anywhere on the ladder fails the build-time checks
+    @pytest.mark.parametrize("k", [0, 3, -1])
+    def test_nan_radius_fails_verify(self, k):
+        inst = worst_build(0.16, 8.0)
+        radii = list(inst.radii)
+        radii[k] = np.nan
+        with pytest.raises(hg.GeometryViolation):
+            resisting._verify_instance(dataclasses.replace(inst, radii=radii))
+
     def test_ladder_count_formula(self):
         inst = worst_build(0.15, 10.0)
         assert inst.d == int(np.floor(float(zeta(10.0)) / (32 * 0.15 ** 2))) == 13
