@@ -99,6 +99,8 @@ def run_sweep(params, seed):
     if kind not in RUNNERS:
         raise DomainError(f"sweep over unknown kind {kind!r}")
     base = params.get("base", {})
+    if not isinstance(base, dict):
+        raise DomainError("sweep 'base' is not an object")
     grid = params.get("grid", {})
     keys = sorted(grid)
     for k in keys:

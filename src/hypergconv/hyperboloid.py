@@ -375,9 +375,12 @@ def exp(x: HPoint, v: HTangent) -> HPoint:
 
 def log(x: HPoint, y: HPoint) -> HTangent:
     """Inverse exponential map; |log_x(y)| equals dist(x, y) exactly."""
-    if x.d != y.d:
-        raise DimensionMismatch("points live in different dimensions")
-    D = dist(x, y)
+    return _log_at(x, y, dist(x, y))
+
+
+def _log_at(x: HPoint, y: HPoint, D: float) -> HTangent:
+    """``log(x, y)`` from a held D = dist(x, y) or dist(y, x): the compensated
+    forms sum the same exact Dekker terms, so ``dist`` is symmetric to the bit."""
     if D == 0.0:
         return _tangent_unchecked(x, np.zeros_like(x.coords))
     u = np.cosh(D)
@@ -630,6 +633,9 @@ class HalfSpace:
 
 def halfspace_dist(x: HPoint, L: HalfSpace) -> float:
     """Distance to a half-space: zero inside, distance to the boundary outside."""
-    if L.margin(x) >= -1e-12:
-        return 0.0
-    return sub_dist_value(x, L.boundary)
+    return _halfspace_dist_at(L.margin(x))
+
+
+def _halfspace_dist_at(m: float) -> float:
+    """``halfspace_dist`` from a held margin m; outside, arcsinh |m| is ``sub_dist_value``."""
+    return 0.0 if m >= -1e-12 else float(np.arcsinh(-m))

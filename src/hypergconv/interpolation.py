@@ -27,6 +27,7 @@ from .hyperboloid import (
     frame_at_base,
     gspan,
     log,
+    _log_at,
     _mink_x,
 )
 from .oracles import (
@@ -40,7 +41,7 @@ from .oracles import (
     fn_sqdist_point,
     fn_sum,
     gconvex_holds,
-    subgradient_gap,
+    subgradient_slack,
 )
 from .sampling import random_point_in_ball, random_unit_tangent
 
@@ -106,7 +107,7 @@ def check_necessary(data: InterpData) -> NecessaryReport:
             if i == j:
                 continue
             d = dist(si.x, sj.x)
-            s = sj.F - si.F - _mink_x(si.g.vec, log(si.x, sj.x).vec) \
+            s = sj.F - si.F - _mink_x(si.g.vec, _log_at(si.x, sj.x, d).vec) \
                 - 0.5 * data.mu * d * d
             if np.isnan(s):
                 return NecessaryReport(False, (i, j), float(s))
@@ -199,9 +200,10 @@ def minimal_function(F: float, y: HPoint, g: HTangent, x: HPoint
     sums the matching distance terms (reflecting the far anchor when the
     aligned component points toward x), and achieves F + <g, log_y(x)> at x.
     """
-    if dist(x, y) == 0.0:
+    D = dist(x, y)
+    if D == 0.0:
         raise DomainError("evaluation point must differ from the anchor")
-    ly = log(y, x)
+    ly = _log_at(y, x, D)
     d2 = ly.norm ** 2
     align = _mink_x(g.vec, ly.vec)
     g_par = HTangent(y, (align / d2) * ly.vec)
@@ -211,7 +213,7 @@ def minimal_function(F: float, y: HPoint, g: HTangent, x: HPoint
     a_par = g_par.norm
     a_perp = g_perp.norm
     parts: list[tuple[float, FnOracle]] = [
-        (1.0, fn_constant(F - a_par * dist(xprime, y)))]
+        (1.0, fn_constant(F - a_par * (D if xprime is x else dist(xprime, y))))]
     if a_par > 0:
         parts.append((a_par, fn_dist_point(xprime)))
     if a_perp > 0:
@@ -257,9 +259,11 @@ def interp_checks(rng: np.random.Generator, thetas, triples: int):
     f = construct_sufficient(InterpData(items, mu=1.0))
     max_err, slack = np.inf, -np.inf
     if not isinstance(f, NotApplicable):
-        max_err = float(np.max([abs(f.value(s.x) - s.F) for s in items]))
-        slack = float(np.min([subgradient_gap(f, s.x, random_point_in_ball(rng, x0, 2.0))
-                              for s in items for _ in range(20)]))
+        answers = [(s, *f.eval(s.x)) for s in items]  # value == eval()[0]: one per point
+        max_err = float(np.max([abs(F - s.F) for s, F, _ in answers]))
+        slack = float(np.min([subgradient_slack(F, g, f.value(y), log(s.x, y))
+                              for s, F, g in answers
+                              for y in [random_point_in_ball(rng, x0, 2.0) for _ in range(20)]]))
     yield "construct-roundtrip", max_err, ROUNDTRIP_TOL, roundtrip_holds(max_err, slack)
 
     worst = 0.0
@@ -267,9 +271,10 @@ def interp_checks(rng: np.random.Generator, thetas, triples: int):
         y = random_point_in_ball(rng, x0, 1.0)
         g = random_unit_tangent(rng, y).scaled(2.0 * rng.uniform())
         x = random_point_in_ball(rng, x0, 1.5)
-        if dist(x, y) < 1e-8:
+        D = dist(x, y)
+        if D < 1e-8:
             continue
         fmin, val = minimal_function(rng.uniform(-1, 1), y, g, x)
-        target = fmin.value(y) + _mink_x(g.vec, log(y, x).vec)
+        target = fmin.value(y) + _mink_x(g.vec, _log_at(y, x, D).vec)
         worst = float(np.maximum(worst, abs(val - target)))
     yield "minimal-values", worst, MINIMAL_TOL, minimal_values_hold(worst)

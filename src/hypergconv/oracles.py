@@ -22,6 +22,7 @@ from .hyperboloid import (
     HTangent,
     TotallyGeodesicSub,
     _dist_coords,
+    _log_at,
     _mink,
     _mink_x,
     _mink_x_rows,
@@ -51,6 +52,8 @@ __all__ = [
     "taper",
     "subgradient_gap",
     "midpoint_convexity_gap",
+    "subgradient_slack",
+    "midpoint_slack",
     "sandwich_violation",
     "worst_chord_slope",
     "gconvex_holds",
@@ -351,10 +354,10 @@ class PseudoAffine(FnOracle):
         D = dist(self.y, x)
         if D == 0.0:
             return 0.0, HTangent(x, self.g.vec.copy())
-        s = log(self.y, x)
+        s = _log_at(self.y, x, D)
         val = float(_mink(self.g.vec, s.vec))
         pg = ptransport(self.y, x, self.g)
-        radial = log(x, self.y).scaled(-1.0 / D)  # transported direction of s
+        radial = _log_at(x, self.y, D).scaled(-1.0 / D)  # transported direction of s
         coef = float(_mink(pg.vec, radial.vec))
         par = coef * radial.vec
         perp = pg.vec - par
@@ -362,9 +365,8 @@ class PseudoAffine(FnOracle):
         return val, grad
 
     def value(self, x):
-        if dist(self.y, x) == 0.0:
-            return 0.0
-        return float(_mink(self.g.vec, log(self.y, x).vec))
+        D = dist(self.y, x)
+        return 0.0 if D == 0.0 else float(_mink(self.g.vec, _log_at(self.y, x, D).vec))
 
 
 def fn_pseudo_affine(y: HPoint, g: HTangent) -> PseudoAffine:
@@ -730,15 +732,22 @@ def taper(D, R: float):
 
 def subgradient_gap(f: FnOracle, x: HPoint, y: HPoint) -> float:
     """Slack f(y) - f(x) - <g, log_x(y)>; nonnegative for g-convex oracles."""
-    Fx, g = f.eval(x)
-    Fy = f.value(y)
-    return Fy - Fx - float(_mink(g.vec, log(x, y).vec))
+    return subgradient_slack(*f.eval(x), f.value(y), log(x, y))
 
 
 def midpoint_convexity_gap(f: FnOracle, x: HPoint, y: HPoint) -> float:
     """Slack (f(x)+f(y))/2 - f(midpoint); nonnegative for g-convex oracles."""
-    mid = exp(x, log(x, y).scaled(0.5))
-    return 0.5 * (f.value(x) + f.value(y)) - f.value(mid)
+    return midpoint_slack(f, x, f.value(x), f.value(y), log(x, y))
+
+
+def subgradient_slack(Fx: float, g: HTangent, Fy: float, v: HTangent) -> float:
+    """``subgradient_gap`` from f's (Fx, g) at x, Fy = f(y) and v = log_x(y)."""
+    return Fy - Fx - float(_mink(g.vec, v.vec))
+
+
+def midpoint_slack(f: FnOracle, x: HPoint, Fx: float, Fy: float, v: HTangent) -> float:
+    """``midpoint_convexity_gap`` from Fx = f(x), Fy = f(y) and v = log_x(y)."""
+    return 0.5 * (Fx + Fy) - f.value(exp(x, v.scaled(0.5)))
 
 
 def sandwich_violation(fv: float, bracket: tuple[float, float], lam: float) -> float:
@@ -808,10 +817,12 @@ def zoo_checks(rng: np.random.Generator, d: int, n: int):
         for _ in range(n):
             a = random_point_in_ball(rng, x0, 2.0)
             b = random_point_in_ball(rng, x0, 2.0)
-            worst = float(np.min([worst, subgradient_gap(o, a, b),
-                                  midpoint_convexity_gap(o, a, b)]))
+            (Fa, g), Fb, v = o.eval(a), o.value(b), log(a, b)
+            # the midpoint gap reads eval's value: value(a) == eval(a)[0]
+            worst = float(np.min([worst, subgradient_slack(Fa, g, Fb, v),
+                                  midpoint_slack(o, a, Fa, Fb, v)]))
             if o.lipschitz is not None:
-                lip_ok &= lipschitz_holds(o.grad(a).norm, o.lipschitz)
+                lip_ok &= lipschitz_holds(g.norm, o.lipschitz)
         yield f"gconvex-{name}", worst, GCONVEX_SLACK, gconvex_holds(worst) and lip_ok
 
     lam = 0.25

@@ -33,6 +33,8 @@ from .hyperboloid import (
     HTangent,
     RangeLimitError,
     TotallyGeodesicSub,
+    _halfspace_dist_at,
+    _log_at,
     _mink_x,
     _mink_x_rows,
     _point_unchecked,
@@ -40,7 +42,6 @@ from .hyperboloid import (
     dist,
     exp,
     gspan,
-    halfspace_dist,
     log,
     ptransport,
     right_triangle,
@@ -426,6 +427,8 @@ def game_checks(new_game, T: int, r: float, players, seed: int, transcript: dict
     passed), one per player of a fresh ``new_game(T, r)``, and record each
     player's certificate in ``transcript[player]`` (README, "What each CLI row
     checks"); ``samples`` are the counts of the game's ``sampled_checks``."""
+    if isinstance(players, str):
+        raise DomainError(f"'players' must be a list of names, not the string {players!r}")
     for name in players:
         game = new_game(T, r)
         play(game, name, seed)
@@ -614,11 +617,6 @@ class WorstFunctionOracle(FnOracle):
         self.fmin = 0.0
         self._costh = np.cos(inst.theta)
 
-    def _value_and_term(self, x: HPoint):
-        hs = np.array([halfspace_dist(x, L) for L in self.inst.halfspaces])
-        term = float(np.max(hs)) / self._costh
-        return dist(x, self.inst.xstar) + term, hs
-
     def _span_index(self, x: HPoint) -> int | None:
         # ladder span k is M intersect span(e_0..e_k); membership means the
         # coordinates beyond index k vanish
@@ -630,21 +628,21 @@ class WorstFunctionOracle(FnOracle):
 
     def eval(self, x):
         inst = self.inst
-        F, hs = self._value_and_term(x)
         margins = np.array([L.margin(x) for L in inst.halfspaces])
+        hs = np.array([_halfspace_dist_at(m) for m in margins])
+        dyx, mx = dist(x, inst.xstar), float(np.max(hs))
+        F = dyx + mx / self._costh
         inside = bool(np.all(margins >= -MEMBERSHIP_TOL))
 
         for k, yk in enumerate(inst.ladder):
             if dist(x, yk) <= MEMBERSHIP_TOL:
                 if k <= inst.d - 2:
-                    g = _rebase(x, inst.gtilde(k))
-                    return F, g
+                    return F, _rebase(x, inst.gtilde(k))
                 break
 
         k = self._span_index(x)
         if k is not None and inside:
-            dyx = dist(x, inst.xstar)
-            lg = log(x, inst.xstar)
+            lg = _log_at(x, inst.xstar, dyx)
             yk1 = inst.ladder[k + 1]
             lk1 = log(x, yk1)
             dk1 = lk1.norm
@@ -654,16 +652,13 @@ class WorstFunctionOracle(FnOracle):
                 sin_ty = np.sqrt(max(1.0 - c * c, 0.0))
                 pn = ptransport(inst.halfspaces[k].anchor, x, inst.halfspaces[k].normal)
                 ghat = -(sin_ty / self._costh) * pn.vec
-                g = _rebase(x, ghat - lg.vec / dyx)
-                return F, g
+                return F, _rebase(x, ghat - lg.vec / dyx)
 
         # fallback: max-rule subgradient of the half-space term plus the
         # distance gradient
         vec = np.zeros_like(x.coords)
-        dyx = dist(x, inst.xstar)
         if dyx > 1e-14:
-            vec -= log(x, inst.xstar).vec / dyx
-        mx = float(np.max(hs))
+            vec -= _log_at(x, inst.xstar, dyx).vec / dyx
         if mx > 0.0:
             kk = int(np.argmax(hs))
             dsub, foot = sub_dist(x, inst.halfspaces[kk].boundary)

@@ -70,9 +70,9 @@ def polyak_sgd(f: FnOracle, fstar: float, x0: HPoint, s0: float, T: int) -> Trac
         if not (-gap <= GAP_SLACK * max(1.0, abs(fstar))):
             raise CertificateError(f"observed value {F} is below the supplied f* by {-gap}")
         gnorm = g.norm
-        if gap <= 0.0 or gnorm == 0.0:
-            break
-        if k == T - 1:
+        if not (gnorm <= np.finfo(float).max):  # NaN included
+            raise CertificateError(f"subgradient norm {gnorm} at step {k} is not finite")
+        if gap <= 0.0 or gnorm == 0.0 or k == T - 1:
             break
         if s <= 0.0:
             raise CertificateError("certified radius hit zero with a positive gap")

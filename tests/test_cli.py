@@ -117,6 +117,10 @@ def test_polyak_worst_refuses_highprec_key(tmp_path, capsys):
     ("polyak-worst", {"eps": 0.5, "r": 5.0}, "eps must lie in"),
     ("sweep", {"kind": "newton", "grid": {"T": [4]}}, "unknown kind"),
     ("sweep", {"kind": "interp", "grid": {"triples": 5}}, "'triples' is not a list"),
+    ("sweep", {"kind": "interp", "base": [1], "grid": {"triples": [5]}},
+     "'base' is not an object"),
+    ("sweep", {"kind": "lb-nonsmooth", "base": {"r": 1.0, "players": "polyak"},
+               "grid": {"T": [4]}}, "'players' must be a list"),
 ])
 def test_config_refusals_exit_two(tmp_path, capsys, kind, cfg, message):
     assert cli.main([kind, "--config", write_cfg(tmp_path, cfg),
@@ -151,7 +155,7 @@ def test_nan_envelope_value_fails_sandwich(monkeypatch):
     (oracles.GCONVEX_SLACK, "True"),
     (np.nextafter(oracles.GCONVEX_SLACK, -np.inf), "False")])
 def test_zoo_gconvex_slack(monkeypatch, gap, passed):
-    monkeypatch.setattr(oracles, "subgradient_gap", lambda f, x, y: gap)
+    monkeypatch.setattr(oracles, "subgradient_slack", lambda Fx, g, Fy, v: gap)
     rows, _ = cli.RUNNERS["zoo-validate"]({"d": 3, "samples": 5}, 0)
     gconvex = [r for r in rows if r["case"].startswith("gconvex-")]
     assert len(gconvex) == 4

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import optimize
 
 from hypergconv import (
@@ -29,7 +29,8 @@ from hypergconv import (
     zeta,
 )
 from hypergconv import hyperboloid
-from hypergconv.hyperboloid import _mink_x, _mink_x_rows, _two_products
+from hypergconv.hyperboloid import (
+    _halfspace_dist_at, _log_at, _mink_x, _mink_x_rows, _two_products)
 from hypergconv.sampling import make_rng
 
 from conftest import rand_point, rand_tangent, rand_unit
@@ -301,6 +302,53 @@ class TestExpLog:
             lv = log(x, y)
             assert mink_inner(lv.vec, lv.vec) == pytest.approx(
                 dist(x, y) ** 2, abs=1e-9)
+
+
+@st.composite
+def far_point_pairs(draw):
+    """Two points at radius <= 19 from e_0 in H^d, d in [2, 64] (both paths of
+    ``_mink_x``), and a unit tangent at e_0."""
+    d = draw(st.integers(2, 64))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    x0 = base_point(d)
+
+    def point():
+        try:
+            return exp(x0, rand_unit(rng, x0).scaled(draw(st.floats(0.0, 19.0))))
+        except RangeLimitError:  # rounded off the sheet near radius 19
+            assume(False)
+
+    x, y = point(), point()
+    return x, y, rand_unit(rng, x0)
+
+
+class TestReusedDistance:
+    # a caller that holds dist(x, y) or dist(y, x) passes it to _log_at, and a
+    # caller that holds a half-space margin passes it to _halfspace_dist_at;
+    # both give the bits of the call that recomputes it
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(far_point_pairs())
+    def test_log_at_held_distance(self, pair):
+        x, y, _ = pair
+        try:
+            D = dist(x, y)
+        except GeometryViolation:  # far stored points can leave the sheet
+            with pytest.raises(GeometryViolation):
+                dist(y, x)
+            return
+        assert D.hex() == dist(y, x).hex()
+        assert _log_at(x, y, D).vec.tobytes() == log(x, y).vec.tobytes()
+        assert _log_at(y, x, D).vec.tobytes() == log(y, x).vec.tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(far_point_pairs())
+    def test_halfspace_dist_from_margin(self, pair):
+        x, y, n = pair
+        for L in (HalfSpace(n.base, n), HalfSpace(n.base, n.scaled(-1.0))):
+            for p in (x, y):
+                m = L.margin(p)
+                if m < -1e-12:
+                    assert _halfspace_dist_at(m).hex() == sub_dist_value(p, L.boundary).hex()
 
 
 @st.composite

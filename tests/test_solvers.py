@@ -104,6 +104,23 @@ class TestPolyak:
             polyak_sgd(NanFrom(), fstar=0.0, x0=base_point(3), s0=3.0, T=T)
         assert len(calls) == first_nan
 
+    # a NaN subgradient with a finite value raises on its own cause, also as
+    # the last answer (which takes no step)
+    @pytest.mark.parametrize("T", [1, 3])
+    def test_nan_subgradient_raises(self, rng, T):
+        f = fn_dist_point(rand_point(rng, 3, 1.0))
+        calls = []
+
+        class NanGrad(FnOracle):
+            def eval(self, x):
+                calls.append(x)
+                F, g = f.eval(x)
+                return F, g.scaled(np.nan)
+
+        with pytest.raises(CertificateError, match="subgradient norm nan at step 0"):
+            polyak_sgd(NanGrad(), fstar=0.0, x0=base_point(3), s0=3.0, T=T)
+        assert len(calls) == 1
+
 
 class TestRGD:
     def test_zero_step_constant(self, rng):

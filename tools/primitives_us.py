@@ -43,6 +43,10 @@ A fourth table times what the ``certify`` workload evaluates most:
   B(x_0, 2), in µs/call (best of 5 repeats of 500 calls);
 - one of its parts' ``PseudoAffine``, ``value`` against ``eval``, the same
   way;
+- one ``zoo-validate`` sample pair through the four zoo oracles in H^8, in
+  µs/pair: the first four rows of ``oracles.zoo_checks`` (seed 0) at 50
+  pairs per oracle, less the same rows at none, over 50 (best of 5 repeats
+  each);
 - the mpmath replay's value (``highprec._replay_value``) at eps = 0.1,
   r = 20, in ms/call: the d = 62 iterates of one replay are recorded, then
   all of them are evaluated again (best of 5 repeats).
@@ -68,7 +72,8 @@ from hypergconv.cutting import (  # noqa: E402
 from hypergconv.hyperboloid import (  # noqa: E402
     HalfSpace, HPoint, _mink_x, _mink_x_rows, base_point, dist, exp, log, sub_dist)
 from hypergconv.interpolation import InterpData, construct_sufficient  # noqa: E402
-from hypergconv.oracles import BRACKET_TOL, OracleSample, fn_sqdist_point  # noqa: E402
+from hypergconv.oracles import (  # noqa: E402
+    BRACKET_TOL, OracleSample, fn_sqdist_point, zoo_checks)
 from hypergconv.resisting import play, smooth_new  # noqa: E402
 from hypergconv.sampling import (  # noqa: E402
     make_rng, random_point_in_ball, random_unit_tangent)
@@ -148,6 +153,15 @@ def certify_calls() -> dict:
     }
 
 
+def zoo_pair_us(n: int = 50) -> float:
+    def gconvex_rows(k):
+        return lambda: list(itertools.islice(zoo_checks(make_rng(0), 8, k), 4))
+
+    with_pairs, without = (min(timeit.repeat(gconvex_rows(k), number=1, repeat=5))
+                           for k in (n, 0))
+    return (with_pairs - without) / n * 1e6
+
+
 def replay_value_ms() -> float:
     args = []
     real = highprec._replay_value
@@ -182,9 +196,10 @@ def main() -> None:
     print(f"{'MoreauEnvelope.bracket':<24}{bracket_us:9.2f} µs/call")
     print(f"{'MoreauEnvelope.value':<24}{value_ms:9.2f} ms/call (solves)")
     print()
-    print("certify: interp interpolant (six parts, H^3) and replay, best of 5")
+    print("certify: interp interpolant (six parts, H^3), zoo pair and replay, best of 5")
     for name, f in certify_calls().items():
         print(f"{name:<24}{min(timeit.repeat(f, number=500, repeat=5)) / 500 * 1e6:9.2f} µs/call")
+    print(f"{'zoo-validate pair d=8':<24}{zoo_pair_us():9.2f} µs/pair (four oracles)")
     print(f"{'replay value r=20':<24}{replay_value_ms():9.2f} ms/call")
 
 
