@@ -6,11 +6,11 @@ with every answer it gave, certifies its minimizer by the law of cosines, and
 guarantees every recorded gap exceeds r/(2 zeta(r) sqrt(T)).
 """
 
-import numpy as np
+import sys
+from pathlib import Path
 
-from hypergconv.resisting import (
-    GameOracle, export_transcript_jsonl, nonsmooth_new, smooth_new,
-)
+from hypergconv import cli
+from hypergconv.resisting import GameOracle, nonsmooth_new, smooth_new
 from hypergconv.solvers import polyak_sgd
 
 T, r = 8, 2.0
@@ -31,8 +31,6 @@ print(f"x* on every chosen hyperplane: worst residual {cert['max_subdist_xstar']
 print(f"law-of-cosines certificate residual: {cert['max_lawcos_residual']:.2e}")
 replay = game.replay_residual()
 print(f"replaying the final function reproduces the transcript to {replay:.2e}")
-export_transcript_jsonl(game, "nonsmooth_transcript.jsonl")
-print("transcript written to nonsmooth_transcript.jsonl")
 
 print("\n== smoothed game (Moreau envelope responses) ==")
 sgame = smooth_new(4, 1.0)
@@ -45,3 +43,7 @@ print(f"certified gap floor (L r^2 / T^2) / (16 zeta^2): {sgame.gap_bound():.6f}
 print(f"smallest recorded gap: {scert['min_recorded_gap']:.6f}")
 print(f"same minimizer as the nonsmooth twin: f(x*) - f* = "
       f"{scert['f_at_xstar'] - sfstar:+.2e}")
+
+print("\n== the nonsmooth game's checks, written by the CLI's runner ==")
+sys.exit(cli.run("lb-nonsmooth", {"T": T, "r": r, "players": ["polyak"]}, 0,
+                 Path("hypergconv-out/03_resisting_games")))

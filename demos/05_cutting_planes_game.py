@@ -7,12 +7,13 @@ beyond desk scale, so the run reports survival statistics and verifies the
 structural invariants exactly.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 
-from hypergconv.cutting import (
-    CutConfig, packing_floor, play_game, random_ball_player,
-    write_summary_csv, write_transcript_json,
-)
+from hypergconv import cli
+from hypergconv.cutting import CutConfig, play_game, random_ball_player
 
 cfg = CutConfig(d=3, r=6.0, eps=0.1, seed=0, max_rounds=15)
 print(f"d={cfg.d}, r={cfg.r}, eps={cfg.eps}: candidate balls of radius {cfg.ball_radius}")
@@ -28,6 +29,7 @@ print(f"quarter-law violations: {tr.quarter_violations}")
 print(f"full-history consistency of survivors: {tr.state.verify_consistency()}")
 print(f"selected target replays every round: {tr.replay_ok()}")
 
-write_transcript_json(tr, "cut_game.json")
-write_summary_csv([tr], "cut_games.csv")
-print("\ntranscript written to cut_game.json, summary to cut_games.csv")
+print("\n== the same game's checks, written by the CLI's runner ==")
+sys.exit(cli.run("cut-game", {"d": cfg.d, "r": cfg.r, "eps": cfg.eps, "games": 1,
+                              "max_rounds": cfg.max_rounds, "player": "random"},
+                 cfg.seed, Path("hypergconv-out/05_cutting_planes_game")))

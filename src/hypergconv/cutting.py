@@ -11,8 +11,6 @@ every surviving candidate is consistent with the full history, exactly.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +36,6 @@ __all__ = [
     "random_ball_player",
     "PLAYERS",
     "cut_game_checks",
-    "write_transcript_json",
-    "write_summary_csv",
 ]
 
 
@@ -477,34 +473,3 @@ def cut_game_checks(d: int, r: float, eps: float | None, games: int, max_rounds:
     transcript["quarter_fraction"] = share
     yield "aggregate-quarter-law", share, QUARTER_LAW_SHARE, quarter_law_holds(share) and all_ok
 
-
-def write_transcript_json(tr: GameTranscript, path) -> None:
-    doc = {
-        "config": {"d": tr.cfg.d, "r": tr.cfg.r, "eps": tr.cfg.eps,
-                   "n_normal_samples": N_NORMAL_SAMPLES, "seed": tr.cfg.seed},
-        "packing_size": tr.packing_size,
-        "theoretical_floor": tr.floor,
-        "target_rounds": tr.cfg.target_rounds(),
-        "rounds_survived": tr.rounds_survived,
-        "exhausted": tr.exhausted,
-        "xstar": tr.xstar.tolist(),
-        "rounds": [
-            {"k": rec.k, "x": rec.x.tolist(), "g": rec.g.tolist(),
-             "hits": rec.hits, "survivors": rec.survivors,
-             "quarter_ok": rec.quarter_ok}
-            for rec in tr.state.history
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-
-
-def write_summary_csv(transcripts: list[GameTranscript], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["seed", "d", "r", "eps", "rounds_survived",
-                    "quarter_law_violations"])
-        for tr in transcripts:
-            w.writerow([tr.cfg.seed, tr.cfg.d, f"{tr.cfg.r:.17g}",
-                        f"{tr.cfg.eps:.17g}", tr.rounds_survived,
-                        tr.quarter_violations])

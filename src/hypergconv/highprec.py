@@ -20,6 +20,7 @@ import numpy as np
 from mpmath import libmp, mp, mpf
 
 from . import resisting
+from .solvers import CertificateError, _polyak_step
 
 __all__ = ["worst_trajectory_report"]
 
@@ -170,6 +171,8 @@ def worst_trajectory_report(eps: float, r: float) -> resisting.WorstReplayReport
                 return [-v / costh for v in e[k + 1]]
             return -_unit_log(x, xs)
 
+        # the value is a dist: a miss below its acosh floor above is roundoff
+        slack = mpf(10) ** -(DPS // 2)
         x, s = list(y[0]), radii[0]
         iterates = [list(x)]
         gaps, ss, etas = [], [], []
@@ -177,17 +180,19 @@ def worst_trajectory_report(eps: float, r: float) -> resisting.WorstReplayReport
             F = _replay_value(x, xs, normals, nf, costh)
             gaps.append(F)
             ss.append(s)
+            if not (-F <= slack):
+                raise CertificateError(f"replayed value {F} is below f* = 0")
             if k == d - 1:
                 break
             g = answer(x, k)
             gn = mp.sqrt(_mdot(g, g))
-            c = min(F / (s * gn), mpf(1))
-            eta_g = mp.atanh(c * mp.tanh(s))
+            if not mp.isfinite(gn):
+                raise CertificateError(f"subgradient norm {gn} at step {k} is not finite")
+            eta_g, s = _polyak_step(mp, F, gn, s, slack)
             etas.append(eta_g)
             x = _exp(x, [-eta_g / gn * gi for gi in g])
             nq = mp.sqrt(-_mdot(x, x))
             x = [xi / nq for xi in x]
-            s = mp.asinh(mp.sqrt(max(1 - c * c, mpf(0))) * mp.sinh(s))
             iterates.append(list(x))
 
         return resisting._replay_report(

@@ -57,6 +57,9 @@ RANK_TOL = 1e-9
 # Switch to the sqrt series of arccosh below this value of u - 1.
 _ACOSH_SERIES_CUTOFF = 1e-8
 
+# cosh(17): past this x_0, exp checks the point it returns as dist does
+_COSH_17 = 12077476.37678767
+
 
 class GeometryError(ValueError):
     """Base class for geometric input violations."""
@@ -370,7 +373,12 @@ def exp(x: HPoint, v: HTangent) -> HPoint:
         # of the light cone and rounding can cross it
         raise RangeLimitError(
             "target point is too far from the chart center for double precision")
-    return _point_unchecked(p / np.sqrt(-q))
+    p = p / np.sqrt(-q)
+    # past x_0 = cosh(17) the normalized point's own square can fail dist's test
+    q = _mink_x(p, p) if p[0] > _COSH_17 else None
+    if q is not None and not q <= -0.5:
+        raise RangeLimitError("target point fails dist's test in double precision")
+    return _point_unchecked(p, q)
 
 
 def log(x: HPoint, y: HPoint) -> HTangent:

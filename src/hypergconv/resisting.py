@@ -16,7 +16,6 @@ Games are sequential-query objects; finalized functions are immutable oracles.
 
 from __future__ import annotations
 
-import json
 import logging
 from itertools import product
 from dataclasses import dataclass, field
@@ -84,7 +83,6 @@ __all__ = [
     "ladder_checks",
     "a2_check",
     "gap_bound_check",
-    "export_transcript_jsonl",
 ]
 
 logger = logging.getLogger(__name__)
@@ -438,23 +436,6 @@ def game_checks(new_game, T: int, r: float, players, seed: int, transcript: dict
                             "chosen": game.chosen, **sampled}
         yield (f"player={name}", cert["min_recorded_gap"], cert["gap_bound"],
                not game.failed_checks(cert, replay) and sampled_ok)
-
-
-def export_transcript_jsonl(game: _GameBase, path) -> None:
-    """One JSON record per query: k, x, F, g, chosen pair, selection margins."""
-    with open(path, "w") as fh:
-        for k, sample in enumerate(game.history):
-            i, s = game.chosen[k]
-            rec = {
-                "k": k,
-                "x": sample.x.coords.tolist(),
-                "F": sample.F,
-                "g": sample.g.vec.tolist(),
-                "chosen_i": i,
-                "chosen_s": s,
-                "margins": game.selection_margins[k],
-            }
-            fh.write(json.dumps(rec) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -74,21 +74,26 @@ def polyak_sgd(f: FnOracle, fstar: float, x0: HPoint, s0: float, T: int) -> Trac
             raise CertificateError(f"subgradient norm {gnorm} at step {k} is not finite")
         if gap <= 0.0 or gnorm == 0.0 or k == T - 1:
             break
-        if s <= 0.0:
-            raise CertificateError("certified radius hit zero with a positive gap")
-        c = gap / (s * gnorm)
         # the certified-cosine noise floor grows with the coordinate scale
         # cosh(s); only violations beyond it falsify the certificate
         slack = max(COS_CLAMP_SLACK, 64.0 * np.finfo(float).eps * np.cosh(min(s, R_MAX)) ** 2)
-        if not (c <= 1.0 + slack):
-            raise CertificateError(
-                f"cos(theta)={c} > 1: f* or the radius certificate is wrong")
-        c = float(np.minimum(c, 1.0))
-        eta_g = float(np.arctanh(c * np.tanh(s)))
+        eta_g, s = map(float, _polyak_step(np, gap, gnorm, s, slack))
         trace.step_lengths.append(eta_g)
         x = exp(x, g.scaled(-eta_g / gnorm))
-        s = float(np.arcsinh(np.sqrt(max(1.0 - c * c, 0.0)) * np.sinh(s)))
     return trace
+
+
+def _polyak_step(ar, gap, gnorm, s, slack):
+    """(step length, next certified radius) of one Polyak step in ``ar``, the
+    ``numpy`` module or the ``mpmath`` context ``mp``; a cosine past
+    ``1 + slack`` falsifies the certificate, and one within it is clamped."""
+    if s <= 0:
+        raise CertificateError("certified radius hit zero with a positive gap")
+    c = gap / (s * gnorm)
+    if not (c <= 1 + slack):
+        raise CertificateError(f"cos(theta)={c} > 1: f* or the radius certificate is wrong")
+    c = min(c, 1)
+    return ar.atanh(c * ar.tanh(s)), ar.asinh(ar.sqrt(max(1 - c * c, 0)) * ar.sinh(s))
 
 
 def rgd(f: FnOracle, step: float, x0: HPoint, T: int) -> Trace:

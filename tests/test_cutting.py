@@ -19,8 +19,6 @@ from hypergconv.cutting import (
     quarter_law_holds,
     random_ball_player,
     volume_ball,
-    write_summary_csv,
-    write_transcript_json,
 )
 from hypergconv.cutting import (
     _conflict_radius,
@@ -433,20 +431,3 @@ class TestPlayGame:
         assert a.rounds_survived == b.rounds_survived
         assert all(np.array_equal(x.g, y.g)
                    for x, y in zip(a.state.history, b.state.history))
-
-    def test_writers(self, tmp_path):
-        import csv
-        import json
-        cfg = CutConfig(d=3, r=5.0, eps=0.12, seed=10, max_rounds=5, max_centers=256)
-        tr = play_game(cfg, random_ball_player(cfg))
-        jpath = tmp_path / "game.json"
-        write_transcript_json(tr, jpath)
-        doc = json.loads(jpath.read_text())
-        assert doc["rounds_survived"] == tr.rounds_survived
-        assert len(doc["rounds"]) == len(tr.state.history)
-        cpath = tmp_path / "summary.csv"
-        write_summary_csv([tr], cpath)
-        rows = list(csv.reader(cpath.read_text().splitlines()))
-        assert rows[0] == ["seed", "d", "r", "eps", "rounds_survived",
-                           "quarter_law_violations"]
-        assert len(rows) == 2

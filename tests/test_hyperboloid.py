@@ -263,6 +263,19 @@ class TestExpLog:
         with pytest.raises(RangeLimitError):
             exp(x, frame_at_base(2)[0].scaled(31.0))
 
+    # beyond radius ~17 the stored coordinates' own Minkowski square can fail
+    # dist's validity test; exp refuses such a point instead of returning it
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(2, 64), st.floats(17.0, 19.0), st.integers(0, 2**32 - 1))
+    def test_far_exp_returns_what_dist_accepts(self, d, rho, seed):
+        x0 = base_point(d)
+        try:
+            p = exp(x0, rand_unit(make_rng(seed), x0).scaled(rho))
+        except RangeLimitError:
+            return
+        assert dist(p, x0) > 16.0
+        assert dist(p, p) == 0.0
+
     def test_log_zero(self, rng):
         x = rand_point(rng, 3)
         assert log(x, x).norm == 0.0

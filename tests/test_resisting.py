@@ -1,5 +1,4 @@
 import dataclasses
-import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +11,6 @@ from hypergconv.hyperboloid import _tangent_unchecked
 from hypergconv.oracles import CHORD_ALLOWANCE, SANDWICH_ALLOWANCE, worst_chord_slope
 from hypergconv.resisting import (
     BudgetExhausted,
-    export_transcript_jsonl,
     nonsmooth_gap_bound,
     nonsmooth_new,
     play,
@@ -124,16 +122,6 @@ class TestNonsmoothGame:
         play(game, "random", seed=5)
         idx = [i for i, _ in game.chosen]
         assert len(set(idx)) == len(idx) == 8
-
-    def test_transcript_export(self, tmp_path):
-        game = nonsmooth_new(4, 1.0)
-        play(game, "random", seed=6)
-        path = tmp_path / "t.jsonl"
-        export_transcript_jsonl(game, path)
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(rows) == 4
-        assert set(rows[0]) == {"k", "x", "F", "g", "chosen_i", "chosen_s", "margins"}
-        assert len(rows[0]["x"]) == game.d + 1
 
 
 def select_by_loop(game, x):

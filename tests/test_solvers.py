@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath import mp, mpf
 
 from hypergconv import base_point, dist, exp, zeta
+from hypergconv.highprec import DPS
 from hypergconv.instances import max_of_distances_instance
 from hypergconv.oracles import FnOracle, fn_dist_point, fn_sqdist_point
 from hypergconv.sampling import make_rng
 from hypergconv.solvers import (
+    COS_CLAMP_SLACK,
     CertificateError,
+    _polyak_step,
     polyak_guarantee,
     polyak_sgd,
     rgd,
@@ -120,6 +125,53 @@ class TestPolyak:
         with pytest.raises(CertificateError, match="subgradient norm nan at step 0"):
             polyak_sgd(NanGrad(), fstar=0.0, x0=base_point(3), s0=3.0, T=T)
         assert len(calls) == 1
+
+
+# the two inline recursions that _polyak_step replaced, verbatim: the step of
+# polyak_sgd and that of the mpmath replay in highprec.worst_trajectory_report
+def inline_float64_step(gap, gnorm, s):
+    c = gap / (s * gnorm)
+    c = float(np.minimum(c, 1.0))
+    eta_g = float(np.arctanh(c * np.tanh(s)))
+    s = float(np.arcsinh(np.sqrt(max(1.0 - c * c, 0.0)) * np.sinh(s)))
+    return eta_g, s
+
+
+def inline_mpmath_step(F, gn, s):
+    c = min(F / (s * gn), mpf(1))
+    eta_g = mp.atanh(c * mp.tanh(s))
+    s = mp.asinh(mp.sqrt(max(1 - c * c, mpf(0))) * mp.sinh(s))
+    return eta_g, s
+
+
+class TestPolyakStep:
+    # gap = c s |g| with c in (0, 1], formed in each side's arithmetic; the
+    # rounded quotient may sit an ulp above 1, inside the slack, where both
+    # old steps clamped
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(1e-3, 1e3), st.floats(1e-3, 30.0),
+           st.floats(0.0, 1.0, exclude_min=True))
+    def test_equals_inline_recursions(self, gnorm, s, c):
+        gap = c * s * gnorm
+        # past s ~ 18.7 tanh(s) rounds to 1, and c = 1 steps infinitely in both
+        with np.errstate(divide="ignore"):
+            new = [float(t) for t in _polyak_step(np, gap, gnorm, s, COS_CLAMP_SLACK)]
+            old = inline_float64_step(gap, gnorm, s)
+        assert [t.hex() for t in new] == [t.hex() for t in old]
+        with mp.workdps(DPS):
+            args = mpf(c) * mpf(s) * mpf(gnorm), mpf(gnorm), mpf(s)
+            new = _polyak_step(mp, *args, mpf(10) ** -(DPS // 2))
+            assert [t._mpf_ for t in new] == [
+                t._mpf_ for t in inline_mpmath_step(*args)]
+
+    # the guards run before any arithmetic of ar, so they hold on both sides
+    def test_guards(self):
+        with pytest.raises(CertificateError, match="radius hit zero"):
+            _polyak_step(mp, mpf(1), mpf(1), mpf(0), mpf(10) ** -30)
+        with pytest.raises(CertificateError, match=r"cos\(theta\)"):
+            _polyak_step(np, 2.0, 1.0, 1.0, 1e-12)
+        with pytest.raises(CertificateError, match=r"cos\(theta\)"):
+            _polyak_step(np, np.nan, 1.0, 1.0, 1e-12)
 
 
 class TestRGD:

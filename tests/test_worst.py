@@ -20,7 +20,7 @@ from hypergconv.resisting import (
     worst_oracle,
 )
 from hypergconv.sampling import make_rng
-from hypergconv.solvers import Trace, polyak_sgd
+from hypergconv.solvers import CertificateError, Trace, polyak_sgd
 from hypergconv.oracles import OracleSample
 
 from conftest import rand_point
@@ -381,6 +381,31 @@ def test_one_ladder_construction(monkeypatch):
     assert worst_build(0.15, 6.0).d == calls[-1]
     assert highprec.worst_trajectory_report(0.16, 5.0).d == calls[-1]
     assert len(calls) == 2
+
+
+class TestReplayGuards:
+    # both replays step through solvers._polyak_step and refuse what
+    # polyak_sgd refuses; a value four times the ladder's sees
+    # cos(theta) = 4 * 4 eps = 1.6 at the first step
+    def test_cosine_above_one_raises_on_both_sides(self, monkeypatch):
+        value = highprec._replay_value
+        monkeypatch.setattr(highprec, "_replay_value", lambda *a: 4 * value(*a))
+        with pytest.raises(CertificateError, match=r"cos\(theta\)=1\.[56]"):
+            highprec.worst_trajectory_report(0.1, 11.0)
+        answer = resisting.WorstFunctionOracle.eval
+
+        def scaled(self, x):
+            F, g = answer(self, x)
+            return 4 * F, g
+
+        monkeypatch.setattr(resisting.WorstFunctionOracle, "eval", scaled)
+        with pytest.raises(CertificateError, match=r"cos\(theta\)=1\.[56]"):
+            resisting.worst_trajectory_report(0.1, 11.0)
+
+    def test_value_below_fstar_raises(self, monkeypatch):
+        monkeypatch.setattr(highprec, "_replay_value", lambda *a: mpf("-1e-29"))
+        with pytest.raises(CertificateError, match="below f"):
+            highprec.worst_trajectory_report(0.1, 11.0)
 
 
 class TestA2Check:
