@@ -271,25 +271,27 @@ def _fewest_hits(cand: np.ndarray, normals: np.ndarray, sh: float
     hit, which no later normal can beat (README, "The adversary's hit
     count").
     """
-    # at least 16 normals: a one-column product goes through gemv, which
-    # rounds differently
-    step = max(16, _BLOCK_ENTRIES // len(cand))
+    # blocks of 16 normals doubling up to _BLOCK_ENTRIES // M, a tail under 16
+    # joining the block before it: one column goes through gemv, which rounds differently
+    cap, step, lo = max(16, _BLOCK_ENTRIES // len(cand)), 16, 0
     ones = np.ones(len(cand))
     c0, n0 = cand[:, 0].copy(), normals[:, 0].copy()
     best, fewest, col = 0, len(cand) + 1, None
-    for lo in range(0, len(normals), step):
+    while lo < len(normals):
+        hi = lo + step if len(normals) - lo - step >= 16 else len(normals)
         # the normals stay the product's columns, as in the whole form; as
         # its rows, BLAS rounds some entries differently at some M
-        q = cand[:, 1:] @ normals[lo:lo + step, 1:].T
+        q = cand[:, 1:] @ normals[lo:hi, 1:].T
         # einsum writes a zero product as +0 where np.outer writes -0; with
         # c0 >= 1 that needs n0 = -0, which the sampled normals never have
-        q -= np.einsum("i,j->ij", c0, n0[lo:lo + step])
+        q -= np.einsum("i,j->ij", c0, n0[lo:hi])
         hits = ones @ (np.abs(q) <= sh)  # sums of 0/1 doubles, exact
         j = int(np.argmin(hits))
         if hits[j] < fewest:  # strict: ties keep the first index, as argmin
             best, fewest, col = lo + j, int(hits[j]), q[:, j].copy()
             if fewest == 0:  # counts are never negative or NaN
                 break
+        lo, step = hi, min(2 * step, cap)
     return best, fewest, col
 
 

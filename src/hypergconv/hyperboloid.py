@@ -128,12 +128,13 @@ def _mink_x_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Row-wise ``_mink_x``: entry j equals ``_mink_x(u[j], v[j])`` bit for bit.
 
     The Dekker products of all rows form as arrays; only the exact sums stay
-    per row.  A sparse row may be passed as its gathered nonzero coordinates
-    (coordinate 0 first): the dropped terms are exact zeros, which leave a
-    correctly rounded sum unchanged.
+    per row; leading axes broadcast.  A sparse row may be passed as its
+    gathered nonzero coordinates (coordinate 0 first): the dropped terms are
+    exact zeros, which leave a correctly rounded sum unchanged.
     """
-    p, err = _two_products(u, v)
-    return np.array([math.fsum(t) for t in np.hstack([p, err]).tolist()])
+    terms = np.concatenate(_two_products(u, v), axis=-1)
+    sums = [math.fsum(t) for t in terms.reshape(-1, terms.shape[-1]).tolist()]
+    return np.array(sums).reshape(terms.shape[:-1])
 
 
 def _two_products(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -405,7 +405,7 @@ class MoreauEnvelope(FnOracle):
             pieces = f.max_sub_pieces()
             if pieces is None:
                 raise DomainError("Moreau envelope requires a max of shifted distances")
-            self._pieces = _StackedPieces(pieces)
+            self._pieces = _StackedPieces(pieces, getattr(f, "normal_products", None))
 
     def prox_point(self, x: HPoint) -> HPoint:
         return self._prox(x)[0]
@@ -426,14 +426,36 @@ class MoreauEnvelope(FnOracle):
         """(lo, hi) with lo <= f_lam(x) <= hi, from closed forms only.
 
         An exact prox gives (v, v); a stack of hyperplane pieces (every game)
-        gives ``_StackedPieces.bracket``, whose lo is certified (f >= f_l
+        gives ``brackets`` at its products, whose lo is certified (f >= f_l
         gives f_lam >= (f_l)_lam) and whose hi is attained.  See README,
         "The sandwich from the bracket".
         """
         if self._pieces is None:
             v = self.f.prox_pair(x, self.lam)[1]
             return v, v
-        return self._pieces.bracket(x.coords, self.lam)
+        lo, hi = self.brackets(self._pieces.products(x.coords[None]))
+        return float(lo[0]), float(hi[0])
+
+    def brackets(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Arrays (lo, hi) of ``bracket`` at each x whose row of s is <x, n>.
+
+        lo is the largest single-piece envelope, since f >= f_l.  hi is the
+        best of x and the single-piece proxes y_l, each at distance
+        t_l = min(lam, d_l) from x along the perpendicular to S_l, whose
+        products with every normal follow from s and the Gram G:
+        <y_l, n_m> = cosh(t_l) s_m - sign(s_l) sinh(t_l) (G_lm + s_l s_m) / sqrt(1 + s_l^2).
+        """
+        sp, lam = self._pieces, self.lam
+        d = np.arcsinh(np.abs(s))
+        t = np.minimum(lam, d)
+        lo = np.max(np.where(d >= lam, d - lam / 2.0, d * d / (2.0 * lam)) - sp.cs, axis=-1)
+        toward = (np.sign(s) * np.sinh(t) / np.sqrt(1.0 + s * s))[..., None]
+        outer = s[..., :, None] * s[..., None, :]
+        q = np.cosh(t)[..., None] * s[..., None, :] - toward * (sp.gram + outer)
+        f_y = np.max(np.arcsinh(np.abs(q)) - sp.cs, axis=-1)
+        at_x, at_y = np.max(d - sp.cs, axis=-1), np.min(f_y + t * t / (2.0 * lam), axis=-1)
+        # at_x unless at_y is smaller, as the builtin min: a NaN at_y keeps at_x
+        return lo, np.where(at_y < at_x, at_y, at_x)
 
     def _prox(self, x: HPoint) -> tuple[HPoint, float]:
         if self._pieces is None:
@@ -468,7 +490,7 @@ class _StackedPieces:
     several normals (a point, a sub of codimension > 1) raises DomainError.
     """
 
-    def __init__(self, pieces: list[tuple[TotallyGeodesicSub, float]]):
+    def __init__(self, pieces: list[tuple[TotallyGeodesicSub, float]], products=None):
         if any(len(S.normals) != 1 for S, _ in pieces):
             raise DomainError("Moreau envelope of a max needs hyperplane pieces")
         self.pieces = pieces
@@ -476,6 +498,8 @@ class _StackedPieces:
         self.J = np.where(np.arange(self.normals.shape[1]) == 0, -1.0, 1.0)
         self.N = self.normals * self.J
         self.cs = np.array([c for _, c in pieces])
+        # points (..., D) to their products with the normals; a game's max passes its sparse form
+        self.products = products or (lambda xs: _mink_x_rows(self.normals, xs[..., None, :]))
 
     def values(self, y: np.ndarray) -> np.ndarray:
         return np.arcsinh(np.abs(self.N @ y)) - self.cs
@@ -484,25 +508,6 @@ class _StackedPieces:
     def gram(self) -> np.ndarray:
         """Minkowski Gram matrix of the normals."""
         return self.N @ self.normals.T
-
-    def bracket(self, x: np.ndarray, lam: float) -> tuple[float, float]:
-        """(lo, hi) around the envelope value at x.
-
-        lo is the largest single-piece envelope, since f >= f_l.  hi is the
-        best of x and the single-piece proxes y_l, each at distance
-        t_l = min(lam, d_l) from x along the perpendicular to S_l, whose
-        products with every normal follow from s = <x, n> and the Gram G:
-        <y_l, n_m> = cosh(t_l) s_m - sign(s_l) sinh(t_l) (G_lm + s_l s_m) / sqrt(1 + s_l^2).
-        """
-        s = _mink_x_rows(self.normals, x)
-        d = np.arcsinh(np.abs(s))
-        t = np.minimum(lam, d)
-        lo = np.max(np.where(d >= lam, d - lam / 2.0, d * d / (2.0 * lam)) - self.cs)
-        toward = np.sign(s) * np.sinh(t) / np.sqrt(1.0 + s * s)
-        q = np.cosh(t)[:, None] * s - toward[:, None] * (self.gram + np.outer(s, s))
-        f_y = np.max(np.arcsinh(np.abs(q)) - self.cs, axis=1)
-        hi = min(np.max(d - self.cs), np.min(f_y + t * t / (2.0 * lam)))
-        return float(lo), float(hi)
 
 
 class _ProxProblem:
@@ -750,11 +755,11 @@ def midpoint_slack(f: FnOracle, x: HPoint, Fx: float, Fy: float, v: HTangent) ->
     return 0.5 * (Fx + Fy) - f.value(exp(x, v.scaled(0.5)))
 
 
-def sandwich_violation(fv: float, bracket: tuple[float, float], lam: float) -> float:
+def sandwich_violation(fv, bracket, lam: float):
     """max(hi - fv, (fv - lam) - lo): the violation of f - lam <= f_lam <= f at
-    a point where f = fv and lo <= f_lam <= hi.  A NaN carries through."""
+    a point where f = fv and lo <= f_lam <= hi, elementwise; a NaN carries through."""
     lo, hi = bracket
-    return float(np.max([hi - fv, (fv - lam) - lo]))
+    return np.max([hi - fv, (fv - lam) - lo], axis=0)
 
 
 CHORD_ALLOWANCE = 1e-3  # a sampled chord check of an L-smooth f allows L + this

@@ -82,7 +82,6 @@ __all__ = [
     "worst_trajectory_report",
     "ladder_checks",
     "a2_check",
-    "gap_bound_check",
 ]
 
 logger = logging.getLogger(__name__)
@@ -131,17 +130,30 @@ class _GameMax(ShiftedMax):
         self.parts = parts
         self._cs, self._rows, self._idx, self.fmin = offsets, rows, idx, -a
 
+    def normal_products(self, xs: np.ndarray) -> np.ndarray:
+        """<x, n_l> for each point x of the stack xs and each part's normal n_l."""
+        return _game_products(xs, self._rows, self._idx)
+
+    def values(self, q: np.ndarray) -> np.ndarray:
+        """``value`` at each point whose products with the normals are a row of q."""
+        vals = self._shifted(q)
+        return np.take_along_axis(vals, np.argmax(vals, axis=-1)[..., None], -1)[..., 0]
+
     def _part_values(self, x):
+        return self._shifted(self.normal_products(x.coords))
+
+    def _shifted(self, q):
         # the parts' own rule: -a on the hyperplane (DistToSub.value)
-        d = _game_dists(x, self._rows, self._idx)
+        d = np.arcsinh(np.sqrt(q * q))
         return np.where(d <= 1e-14, self.fmin, d + self.fmin) - self._cs
 
 
-def _game_dists(x: HPoint, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """dist(x, S) for the hyperplanes S with sparse normals ``rows``/``idx``."""
-    xc = x.coords
-    q = _mink_x_rows(rows, np.column_stack([np.full(len(idx), xc[0]), xc[idx]]))
-    return np.arcsinh(np.sqrt(q * q))
+def _game_products(xs: np.ndarray, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """<x, n_l> for the points x of the stack xs (..., D) and the hyperplane
+    normals n_l whose coordinates 0 and idx[l] are ``rows[l]``: (..., len(idx))."""
+    pairs = np.empty(xs.shape[:-1] + (len(idx), 2))
+    pairs[..., 0], pairs[..., 1] = xs[..., :1], xs[..., idx]
+    return _mink_x_rows(rows, pairs)
 
 
 class _GameBase:
@@ -210,7 +222,8 @@ class _GameBase:
         """
         keys = list(product(self.remaining, (+1, -1)))
         rows = np.tile(self._pair[:, 1], (len(self.remaining), 1))
-        h = _game_dists(x, rows, np.repeat(self.remaining, 2)) - self.a
+        q = _game_products(x.coords, rows, np.repeat(self.remaining, 2))
+        h = np.arcsinh(np.sqrt(q * q)) - self.a
         best = int(np.argmax(h))
         best_val = float(h[best])
         runner = float(np.max(np.delete(h, best)))
@@ -319,17 +332,17 @@ class SmoothGame(_GameBase):
     def worst_sandwich(self, rng: np.random.Generator, n: int) -> float:
         """Largest violation of f_k - lam <= env_k <= f_k (running max f_k, its
         envelope env_k) at n volume-uniform points of B(x_k, delta/2) per query,
-        decided from the envelope's closed-form bracket: no prox is solved."""
+        decided from the envelope's closed-form bracket: no prox is solved.  A
+        query's points share one products call (README, "The sandwich from the bracket")."""
         worst = 0.0
         for k in range(self.T):
             fk = self.running_max(k)
-            env = self._smooth(fk)
             xk = self.history[k].x
-            for _ in range(n):
-                p = random_point_in_ball(rng, xk, self.delta / 2.0)
-                v = sandwich_violation(fk.value(p), env.bracket(p), self.lam)
-                # np.max carries a NaN through; the builtin max would drop it
-                worst = float(np.max([worst, v]))
+            ps = [random_point_in_ball(rng, xk, self.delta / 2.0).coords for _ in range(n)]
+            q = fk.normal_products(np.reshape(ps, (n, self.d + 1)))
+            v = sandwich_violation(fk.values(q), self._smooth(fk).brackets(q), self.lam)
+            # np.max carries a NaN through; the builtin max would drop it
+            worst = float(np.max(np.append(v, worst)))
         return worst
 
     def sampled_checks(self, seed: int, n_sandwich: int, n_chords: int) -> tuple[bool, dict]:
@@ -789,18 +802,3 @@ def a2_check(inst: WorstInstance, trace: Trace) -> TraceReport:
         vecs.append(sample.g)
     return report
 
-
-@dataclass
-class GapBoundReport:
-    ok: bool
-    gap: float
-    bound: float
-
-
-def gap_bound_check(f: FnOracle, xref: HPoint, r: float) -> GapBoundReport:
-    """Check f(xref) - f* <= (1/2) L r^2 * 8/zeta(r) + 1e-6 for smooth g-convex f."""
-    if f.fmin is None or f.smoothness is None:
-        raise DomainError("gap bound check needs fmin and smoothness metadata")
-    gap = f.value(xref) - f.fmin
-    bound = 0.5 * f.smoothness * r * r * 8.0 / float(zeta(r))
-    return GapBoundReport(gap <= bound + 1e-6, gap, bound)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hyperboloid import R_MAX, HPoint, exp, zeta
+from .hyperboloid import R_MAX, HPoint, exp
 from .oracles import FnOracle, OracleSample
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "Trace",
     "polyak_sgd",
     "rgd",
-    "polyak_guarantee",
 ]
 
 # Violations of the Polyak cosine bound beyond this slack falsify the
@@ -48,11 +47,6 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-
-def polyak_guarantee(s0: float, M: float, T: int) -> float:
-    """Upper bound on min_k (f(x_k)-f*)^2 after T Polyak steps: 2 zeta(s0) s0^2 M^2 / T."""
-    return 2.0 * zeta(s0) * s0 * s0 * M * M / T
 
 
 def polyak_sgd(f: FnOracle, fstar: float, x0: HPoint, s0: float, T: int) -> Trace:

@@ -38,11 +38,12 @@ from hypergconv.oracles import (
     taper,
     worst_chord_slope,
 )
-from hypergconv.resisting import gap_bound_check, nonsmooth_new, play, smooth_new
+from hypergconv.resisting import nonsmooth_new, play, smooth_new
 from hypergconv.sampling import make_rng, random_point_in_ball
-from hypergconv.solvers import polyak_guarantee, polyak_sgd
+from hypergconv.solvers import polyak_sgd
 
 from conftest import rand_point, rand_tangent, rand_unit
+from helpers import gap_bound_check, polyak_guarantee
 
 
 def report(n, label, elapsed, budget):

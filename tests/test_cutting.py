@@ -314,8 +314,10 @@ class TestBlockedHits:
         assert col.tobytes() == ref_col.tobytes()
         return best, hits
 
-    # one block (M <= 128), block edges at 32 normals, and partial blocks
-    @pytest.mark.parametrize("m", [1, 31, 32, 33, 128, 129, 2047, 2048])
+    # M <= 128, block edges at 32 normals, partial blocks, and a tail under
+    # 16 normals merged into the block before it (33 and 65 normals a block
+    # at M = 1985 and 1000)
+    @pytest.mark.parametrize("m", [1, 31, 32, 33, 128, 129, 1000, 1985, 2047, 2048])
     def test_equals_dense(self, cand, normals, m):
         assert len(cand) == 2048
         self.assert_same(cand[:m], normals)
@@ -348,8 +350,9 @@ class TestBlockedHits:
             cand[:100], normals, self.sh)[:2]
 
     # the first normal that grazes no ball, at a block's first and last
-    # index (32 normals a block at M = 2048), in the last block, and nowhere:
-    # every fixture normal grazes some ball, and a scaled one grazes none
+    # index (blocks of 16, then 32 normals at M = 2048), in the last block,
+    # and nowhere: every fixture normal grazes some ball, and a scaled one
+    # grazes none
     @pytest.mark.parametrize("k", [0, 31, 32, 500, 511, None])
     def test_first_zero_equals_dense(self, cand, normals, k):
         forced = normals.copy()
@@ -358,9 +361,8 @@ class TestBlockedHits:
         best, hits = self.assert_same(cand, forced)
         assert (best, hits) == (k, 0) if k is not None else hits > 0
 
-    @pytest.mark.parametrize("k, blocks", [(0, 1), (31, 1), (32, 2), (500, 16),
-                                           (None, 16)])
-    def test_scan_stops_after_first_zero_block(self, cand, normals, k, blocks):
+    def scan_starts(self, cand, normals):
+        """The first normal of each block that ``_fewest_hits`` forms."""
         starts = []
 
         class Recording(np.ndarray):
@@ -369,11 +371,31 @@ class TestBlockedHits:
                     starts.append(key[0].start)
                 return super().__getitem__(key)
 
+        _fewest_hits(cand, normals.view(Recording), self.sh)
+        return starts
+
+    # blocks grow 16, 32, 64, ... up to _BLOCK_ENTRIES // M normals (32 at
+    # M = 2048), and the last 16 normals form a block of their own
+    @pytest.mark.parametrize("k, blocks", [(0, 1), (15, 1), (16, 2), (31, 2), (32, 2),
+                                           (48, 3), (500, 17), (None, 17)])
+    def test_scan_stops_after_first_zero_block(self, cand, normals, k, blocks):
         forced = normals.copy()
         if k is not None:
             forced[k] *= 1e6
-        _fewest_hits(cand, forced.view(Recording), self.sh)
-        assert starts == list(range(0, 32 * blocks, 32))
+        assert self.scan_starts(cand, forced) == ([0] + list(range(16, 512, 32)))[:blocks]
+
+    # M = 128: blocks of 16, 32, 64, 128 and 256 normals, then the last 16.
+    # Fixture normal 7 grazes none of the first 128 balls, so one block of 16
+    # is formed; with every other normal grazing every ball, a later zero-hit
+    # normal k forms more, and none forms all
+    @pytest.mark.parametrize("k, blocks", [(7, 1), (16, 2), (300, 5), (None, 6)])
+    def test_zero_in_block_1_at_128(self, cand, normals, k, blocks):
+        forced = normals.copy() if k == 7 else normals * 1e-12
+        if k not in (7, None):
+            forced[k] = normals[k] * 1e6
+        best, hits = self.assert_same(cand[:128], forced)
+        assert (best, hits) == (k, 0) if k is not None else hits == 128
+        assert self.scan_starts(cand[:128], forced) == [0, 16, 48, 112, 240, 496][:blocks]
 
     def test_workload_game_records(self, monkeypatch):
         cfg = CutConfig(d=3, r=4.1, eps=0.12, seed=3, max_rounds=40)

@@ -609,7 +609,7 @@ class TestMoreauBracket:
         k %= T
         env = game._smooth(game.running_max(k))
         x = random_point_in_ball(make_rng(seed), game.history[k].x, game.delta / 2.0)
-        lo, hi = env._pieces.bracket(x.coords, env.lam)
+        lo, hi = env.bracket(x)
         solved = _prox_max_pieces(x, env.lam, env._pieces, polish=False)[1]
         assert lo <= solved + 1e-15 <= hi + 2e-15
         v = env.value(x)
@@ -629,12 +629,12 @@ class TestMoreauBracket:
                         MoreauParams(0.05))
         calls = _count_minimize(monkeypatch)
         x = exp(x0, hg.HTangent(x0, e[0].vec + e[1].vec).scaled(0.02))
-        lo, hi = env._pieces.bracket(x.coords, env.lam)
+        lo, hi = env.bracket(x)
         assert hi - lo > BRACKET_TOL
         assert env.value(x) == _prox_max_pieces(x, env.lam, env._pieces, polish=False)[1]
         assert len(calls) == 2
         y = exp(x0, hg.HTangent(x0, 0.3 * e[0].vec + e[2].vec).scaled(0.2))
-        lo, hi = env._pieces.bracket(y.coords, env.lam)
+        lo, hi = env.bracket(y)
         assert hi - lo <= BRACKET_TOL and env.value(y) == hi
         assert len(calls) == 2
 

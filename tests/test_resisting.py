@@ -1,14 +1,18 @@
 import dataclasses
+import functools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypergconv import DomainError, HalfSpace, RangeLimitError, dist, exp, frame_at_base, \
     log, sub_dist, zeta
 from hypergconv import resisting
-from hypergconv.hyperboloid import _tangent_unchecked
-from hypergconv.oracles import CHORD_ALLOWANCE, SANDWICH_ALLOWANCE, worst_chord_slope
+from hypergconv import oracles
+from hypergconv.hyperboloid import _mink_x_rows, _point_unchecked, _tangent_unchecked
+from hypergconv.oracles import (CHORD_ALLOWANCE, SANDWICH_ALLOWANCE, fn_shifted_max,
+                                sandwich_violation, worst_chord_slope)
 from hypergconv.resisting import (
     BudgetExhausted,
     nonsmooth_gap_bound,
@@ -244,8 +248,9 @@ class TestSmoothGame:
             def eval(self, x):
                 return float("nan"), _tangent_unchecked(x, np.full(x.coords.shape, np.nan))
 
-            def bracket(self, x):
-                return float("nan"), float("nan")
+            def brackets(self, q):
+                nan = np.full(len(q), np.nan)
+                return nan, nan
 
         game = smooth_new(2, 1.0)
         play(game, "polyak", seed=0)
@@ -261,8 +266,8 @@ class TestSmoothGame:
             def __init__(self, f):
                 self.f = f
 
-            def bracket(self, x):
-                fv = self.f.value(x)
+            def brackets(self, q):
+                fv = self.f.values(q)
                 return fv + shift[0] * game.lam, fv + shift[1]
 
         game = smooth_new(4, 1.0)
@@ -295,6 +300,117 @@ class TestSmoothGame:
             for _ in range(10):
                 p = random_point_in_ball(rng, xk, game.delta / 4)
                 assert envT.value(p) == pytest.approx(envk.value(p), abs=1e-9)
+
+
+@functools.lru_cache(maxsize=None)
+def played_smooth_game(T, r, player, seed):
+    game = smooth_new(T, r)
+    play(game, player, seed)
+    return game
+
+
+def old_closed_form(s, gram, cs, lam):
+    """The one-point closed form the batch replaced, verbatim from the old
+    ``_StackedPieces.bracket``, at the products s = <x, n> of one point."""
+    d = np.arcsinh(np.abs(s))
+    t = np.minimum(lam, d)
+    lo = np.max(np.where(d >= lam, d - lam / 2.0, d * d / (2.0 * lam)) - cs)
+    toward = np.sign(s) * np.sinh(t) / np.sqrt(1.0 + s * s)
+    q = np.cosh(t)[:, None] * s - toward[:, None] * (gram + np.outer(s, s))
+    f_y = np.max(np.arcsinh(np.abs(q)) - cs, axis=1)
+    hi = min(np.max(d - cs), np.min(f_y + t * t / (2.0 * lam)))
+    return float(lo), float(hi)
+
+
+def old_bracket(env, x):
+    """The old bracket of a game envelope: full-row products, then the old
+    closed form."""
+    sp = env._pieces
+    return old_closed_form(_mink_x_rows(sp.normals, x.coords), sp.gram, sp.cs, env.lam)
+
+
+def sandwich_by_loop(game, rng, n):
+    """The per-point sandwich loop the batch replaced, over the full rows:
+    the parts' own values and the old bracket."""
+    worst = 0.0
+    for k in range(game.T):
+        fk = fn_shifted_max(game.running_max(k).parts)
+        env = game._smooth(game.running_max(k))
+        xk = game.history[k].x
+        for _ in range(n):
+            p = random_point_in_ball(rng, xk, game.delta / 2.0)
+            v = sandwich_violation(fk.value(p), old_bracket(env, p), game.lam)
+            # np.max carries a NaN through; the builtin max would drop it
+            worst = float(np.max([worst, v]))
+    return worst
+
+
+def on_hyperplane(game, i, s):
+    """A point of S_i^s whose product with its normal n is exactly 0:
+    x_0 = 2 n_i and x_i = 2 n_0 (exact doublings), the rest of -x_0^2 +
+    |x|^2 = -1 in one further coordinate."""
+    n = game.hyperplane(i, s).normals[0]
+    x = np.zeros(game.d + 1)
+    x[0], x[i] = 2.0 * abs(n[i]), 2.0 * np.sign(n[i]) * n[0]
+    x[1 if i != 1 else 2] = np.sqrt(x[0] ** 2 - x[i] ** 2 - 1.0)
+    return _point_unchecked(x)
+
+
+def hexes(pair):
+    return [float(v).hex() for v in pair]
+
+
+class TestBatchedSandwich:
+    # the batch reads the same draws, products and closed form as the
+    # per-point loop over full rows, so the worst violation keeps its bits
+    @pytest.mark.parametrize("T", [2, 8, 16, 32])
+    @pytest.mark.parametrize("r", [1.0, 2.0, 5.0])
+    def test_equals_per_point_loop(self, T, r):
+        for player in ("polyak", "random"):
+            for seed in range(4):
+                game = played_smooth_game(T, r, player, 0 if player == "polyak" else seed)
+                got = game.worst_sandwich(make_rng(seed), 5)
+                assert got.hex() == sandwich_by_loop(game, make_rng(seed), 5).hex()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from([2, 8, 16]), st.sampled_from([1.0, 2.0, 5.0]),
+           st.integers(0, 15), st.integers(0, 15), st.integers(0, 2**32 - 1))
+    def test_closed_form_equals_bracket_per_point(self, T, r, k, l, seed):
+        game = played_smooth_game(T, r, "polyak", 0)
+        k, l = k % T, l % (k % T + 1)
+        fk = game.running_max(k)
+        env = game._smooth(fk)
+        rng = make_rng(seed)
+        pts = [random_point_in_ball(rng, game.history[k].x, game.delta / 2.0) for _ in range(4)]
+        pts += [on_hyperplane(game, *game.chosen[l]), _point_unchecked(np.full(game.d + 1, np.nan))]
+        q = fk.normal_products(np.array([p.coords for p in pts]))
+        assert q[-2, l] == 0.0 and np.all(np.isnan(q[-1]))
+        # the same zero with its sign flipped, and an infinite product, where
+        # the builtin min keeps f(x) and np.minimum would give NaN
+        q = np.vstack([q, q[-2], q[0]])
+        q[-2, l], q[-1, l] = -0.0, np.inf
+        sp = env._pieces
+        with np.errstate(invalid="ignore"):  # 0 * inf in the infinite row
+            lo, hi = env.brackets(q)
+            for j, row in enumerate(q):
+                want = hexes(old_closed_form(row, sp.gram, sp.cs, env.lam))
+                assert [lo[j].hex(), hi[j].hex()] == want
+                if j < len(pts):
+                    # one point at a time, over the sparse and the full rows
+                    assert hexes(env.bracket(pts[j])) == hexes(old_bracket(env, pts[j])) == want
+        assert np.isnan(lo[len(pts) - 1]) and np.isnan(hi[len(pts) - 1])
+        assert hi[-1] == np.max(np.arcsinh(np.abs(q[-1])) - sp.cs) == np.inf
+
+    def test_one_kernel_call_per_query(self, monkeypatch):
+        game = played_smooth_game(16, 5.0, "polyak", 0)
+        calls = {resisting: 0, oracles: 0}
+        for module in calls:
+            def counted(*args, _f=module._mink_x_rows, _m=module):
+                calls[_m] += 1
+                return _f(*args)
+            monkeypatch.setattr(module, "_mink_x_rows", counted)
+        game.worst_sandwich(make_rng(1), 20)
+        assert calls == {resisting: game.T, oracles: 0}
 
 
 class TestCheckEdges:

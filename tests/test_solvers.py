@@ -12,12 +12,12 @@ from hypergconv.solvers import (
     COS_CLAMP_SLACK,
     CertificateError,
     _polyak_step,
-    polyak_guarantee,
     polyak_sgd,
     rgd,
 )
 
 from conftest import rand_point, rand_unit
+from helpers import polyak_guarantee
 
 
 class TestPolyak:

@@ -13,7 +13,6 @@ from hypergconv import highprec, resisting
 from hypergconv.oracles import fn_constant, fn_sqdist_point, subgradient_gap
 from hypergconv.resisting import (
     a2_check,
-    gap_bound_check,
     play,
     smooth_new,
     worst_build,
@@ -24,6 +23,7 @@ from hypergconv.solvers import CertificateError, Trace, polyak_sgd
 from hypergconv.oracles import OracleSample
 
 from conftest import rand_point
+from helpers import gap_bound_check
 
 
 class TestBuild:

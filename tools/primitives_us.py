@@ -33,7 +33,10 @@ played by Polyak, seed 0) at the first seeded sandwich point, drawn in
 B(x_k, delta/2) for k = 0, 1, ... in turn, whose closed-form bracket is
 wider than ``BRACKET_TOL``: ``MoreauEnvelope.bracket`` in µs/call (best of 5
 repeats of 200 calls) and ``MoreauEnvelope.value`` there, which solves, in
-ms/call (best of 5 repeats of 5 calls).
+ms/call (best of 5 repeats of 5 calls).  Its last row is one query of
+``SmoothGame.worst_sandwich`` at n = 20 points, in µs/query: the whole check
+on that game (draws, one products call, the running max's values and the
+batched bracket per query; seed 1 as in ``lb-smooth``), best of 5, over T.
 
 A fourth table times what the ``certify`` workload evaluates most:
 
@@ -120,7 +123,7 @@ def respond_ms(m: int, zero_hit: bool, n: int = 20) -> float:
     return best / n * 1e3
 
 
-def envelope_calls() -> tuple[float, float]:
+def envelope_calls() -> tuple[float, float, float]:
     game = smooth_new(16, 5.0)
     play(game, "polyak", seed=0)
     rng = make_rng(0)
@@ -132,7 +135,9 @@ def envelope_calls() -> tuple[float, float]:
             break
     bracket_us = min(timeit.repeat(lambda: env.bracket(p), number=200, repeat=5)) / 200 * 1e6
     value_ms = min(timeit.repeat(lambda: env.value(p), number=5, repeat=5)) / 5 * 1e3
-    return bracket_us, value_ms
+    sandwich = min(timeit.repeat(lambda: game.worst_sandwich(make_rng(1), 20),
+                                 number=1, repeat=5))
+    return bracket_us, value_ms, sandwich / game.T * 1e6
 
 
 def certify_calls() -> dict:
@@ -191,10 +196,11 @@ def main() -> None:
                            ("respond: full scan", False)):
         print(f"{name:<24}" + "".join(f"{respond_ms(m, zero_hit):9.2f}" for m in CANDIDATES))
     print()
-    bracket_us, value_ms = envelope_calls()
+    bracket_us, value_ms, sandwich_us = envelope_calls()
     print("smoothed game T=16, r=5, at a wide bracket, best of 5")
     print(f"{'MoreauEnvelope.bracket':<24}{bracket_us:9.2f} µs/call")
     print(f"{'MoreauEnvelope.value':<24}{value_ms:9.2f} ms/call (solves)")
+    print(f"{'worst_sandwich, n=20':<24}{sandwich_us:9.2f} µs/query")
     print()
     print("certify: interp interpolant (six parts, H^3), zoo pair and replay, best of 5")
     for name, f in certify_calls().items():
