@@ -9,8 +9,8 @@ import numpy as np
 
 import hypergconv as hg
 from hypergconv.oracles import (
-    MoreauParams, fn_dist_point, fn_dist_sub, fn_moreau, fn_pseudo_affine,
-    fn_shifted_max, fn_sqdist_point, subgradient_gap, taper,
+    DistToSub, MoreauEnvelope, MoreauParams, PseudoAffine, ShiftedMax,
+    SqDistToPoint, fn_dist_point, subgradient_gap, taper,
 )
 from hypergconv.sampling import make_rng, random_point_in_ball, random_unit_tangent
 
@@ -24,10 +24,10 @@ anchor = random_point_in_ball(rng, x0, 1.0)
 S = hg.HalfSpace(anchor, random_unit_tangent(rng, anchor)).boundary
 zoo = {
     "distance to a point": fn_dist_point(z),
-    "half squared distance": fn_sqdist_point(z),
-    "distance to a hyperplane": fn_dist_sub(S, 0.3),
-    "shifted max of the above": fn_shifted_max(
-        [(fn_dist_point(z), 0.1), (fn_dist_sub(S, 0.0), 0.2)]),
+    "half squared distance": SqDistToPoint(z),
+    "distance to a hyperplane": DistToSub(S, 0.3),
+    "shifted max of the above": ShiftedMax(
+        [(fn_dist_point(z), 0.1), (DistToSub(S, 0.0), 0.2)]),
 }
 for name, o in zoo.items():
     worst = min(subgradient_gap(o, random_point_in_ball(rng, x0, 2.0),
@@ -36,7 +36,7 @@ for name, o in zoo.items():
     print(f"  {name:28s} min slack over 500 samples: {worst:+.2e}")
 
 print("\nthe pseudo-affine <g, log_y(x)> is smooth but NOT g-convex:")
-pa = fn_pseudo_affine(z, random_unit_tangent(rng, z))
+pa = PseudoAffine(z, random_unit_tangent(rng, z))
 print(f"  gconvex flag: {pa.gconvex}; Lipschitz = smoothness = {pa.lipschitz:.3f}")
 
 print("\n== Moreau envelope of a kinked max of hyperplane distances ==")
@@ -44,9 +44,9 @@ lam = 0.05
 planes = []
 for c in (0.0, 0.1, 0.2):
     a = random_point_in_ball(rng, x0, 1.0)
-    planes.append((fn_dist_sub(hg.HalfSpace(a, random_unit_tangent(rng, a)).boundary), c))
-m = fn_shifted_max(planes)
-env = fn_moreau(m, MoreauParams(lam))
+    planes.append((DistToSub(hg.HalfSpace(a, random_unit_tangent(rng, a)).boundary), c))
+m = ShiftedMax(planes)
+env = MoreauEnvelope(m, MoreauParams(lam))
 print(f"smoothing width {lam}: envelope is 1/tanh(lam) = {env.smoothness:.1f}-smooth")
 worst_lo, worst_hi = 0.0, 0.0
 for _ in range(300):

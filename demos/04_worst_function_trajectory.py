@@ -10,13 +10,13 @@ import numpy as np
 
 from hypergconv import dist
 from hypergconv.highprec import worst_trajectory_report
-from hypergconv.resisting import a2_check, worst_build, worst_oracle
+from hypergconv.resisting import WorstFunctionOracle, a2_check, worst_build
 from hypergconv.solvers import polyak_sgd
 
 eps, r = 0.15, 10.0
 inst = worst_build(eps, r)
 print(f"eps={eps}, r={r}: ladder of d = {inst.d} points, Lipschitz M = {inst.M:.3f}")
-f = worst_oracle(inst)
+f = WorstFunctionOracle(inst)
 trace = polyak_sgd(f, fstar=0.0, x0=inst.ladder[0], s0=inst.r, T=inst.T)
 
 print("\nk   gap f(x_k)      predicted r_k   dist(x_k, y_k)")

@@ -13,7 +13,7 @@ from hypergconv.interpolation import (
     InterpData, check_necessary, construct_sufficient, minimal_function,
     obstruction_certificate,
 )
-from hypergconv.oracles import OracleSample, fn_sqdist_point
+from hypergconv.oracles import OracleSample, SqDistToPoint
 from hypergconv.sampling import make_rng, random_point_in_ball, random_unit_tangent
 import hypergconv as hg
 
@@ -27,7 +27,7 @@ print("\n== when gradients are small the max construction interpolates ==")
 rng = make_rng(4)
 x0 = hg.base_point(3)
 z = random_point_in_ball(rng, x0, 0.8)
-src = fn_sqdist_point(z)
+src = SqDistToPoint(z)
 items = []
 for _ in range(5):
     p = random_point_in_ball(rng, z, 0.45)

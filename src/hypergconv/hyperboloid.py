@@ -264,6 +264,14 @@ def _point_unchecked(coords: np.ndarray, q: float | None = None) -> HPoint:
     return out
 
 
+def _point_far_checked(p: np.ndarray) -> HPoint:
+    """``_point_unchecked``, refusing a point past x_0 = cosh(17) that dist would."""
+    q = _mink_x(p, p) if p[0] > _COSH_17 else None
+    if q is not None and not q <= -0.5:
+        raise RangeLimitError("point fails dist's test in double precision")
+    return _point_unchecked(p, q)
+
+
 def _tangent_unchecked(base: HPoint, vec: np.ndarray) -> HTangent:
     """Wrap an already-projected tangent vector without re-validation."""
     out = HTangent.__new__(HTangent)
@@ -374,12 +382,7 @@ def exp(x: HPoint, v: HTangent) -> HPoint:
         # of the light cone and rounding can cross it
         raise RangeLimitError(
             "target point is too far from the chart center for double precision")
-    p = p / np.sqrt(-q)
-    # past x_0 = cosh(17) the normalized point's own square can fail dist's test
-    q = _mink_x(p, p) if p[0] > _COSH_17 else None
-    if q is not None and not q <= -0.5:
-        raise RangeLimitError("target point fails dist's test in double precision")
-    return _point_unchecked(p, q)
+    return _point_far_checked(p / np.sqrt(-q))
 
 
 def log(x: HPoint, y: HPoint) -> HTangent:
@@ -502,11 +505,11 @@ class TotallyGeodesicSub:
         return np.array([_mink_x(n, x.coords) for n in self.normals])
 
 
-def _mgs_minkowski(rows: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+def _mgs_minkowski(rows: np.ndarray) -> np.ndarray:
     """Modified Gram-Schmidt in the Minkowski form, timelike vector first.
 
     ``rows[0]`` must be timelike (a hyperboloid point).  Spacelike residuals
-    below ``tol`` are discarded; two projection passes control cancellation.
+    below ``RANK_TOL`` are discarded; two projection passes control cancellation.
     """
     first = rows[0]
     basis = [first / np.sqrt(-_mink_x(first, first))]
@@ -517,7 +520,7 @@ def _mgs_minkowski(rows: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
             for b, s in zip(basis, signs):
                 v -= (_mink_x(v, b) / s) * b
         q = _mink_x(v, v)
-        if q <= tol * tol * max(1.0, float(np.dot(r, r))):
+        if q <= RANK_TOL * RANK_TOL * max(1.0, float(np.dot(r, r))):
             continue
         basis.append(v / np.sqrt(q))
         signs.append(1.0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hyperboloid import HPoint, exp
-from .oracles import FnOracle, fn_dist_point, fn_shifted_max
+from .oracles import FnOracle, ShiftedMax, fn_dist_point
 from .sampling import random_unit_tangent
 
 __all__ = ["max_of_distances_instance"]
@@ -31,4 +31,4 @@ def max_of_distances_instance(rng: np.random.Generator, center: HPoint,
             rho = rng.uniform(*radius)
             z = exp(center, u.scaled(sign * rho))
             parts.append((fn_dist_point(z), rho))
-    return fn_shifted_max(parts), center, 0.0
+    return ShiftedMax(parts), center, 0.0

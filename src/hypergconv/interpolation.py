@@ -31,15 +31,15 @@ from .hyperboloid import (
     _mink_x,
 )
 from .oracles import (
+    Constant,
+    DistToSub,
     FnOracle,
     OracleSample,
+    PseudoAffine,
     ShiftedMax,
-    fn_constant,
-    fn_dist_sub,
+    SqDistToPoint,
+    Sum,
     fn_dist_point,
-    fn_pseudo_affine,
-    fn_sqdist_point,
-    fn_sum,
     gconvex_holds,
     subgradient_slack,
 )
@@ -119,11 +119,11 @@ def check_necessary(data: InterpData) -> NecessaryReport:
 
 
 def _part_oracle(sample: OracleSample, mu: float) -> FnOracle:
-    parts = [(1.0, fn_constant(sample.F)),
-             (1.0, fn_pseudo_affine(sample.x, sample.g))]
+    parts = [(1.0, Constant(sample.F)),
+             (1.0, PseudoAffine(sample.x, sample.g))]
     if mu > 0:
-        parts.append((mu, fn_sqdist_point(sample.x)))
-    return fn_sum(parts, gconvex=(sample.g.norm <= mu / 2 + 1e-12))
+        parts.append((mu, SqDistToPoint(sample.x)))
+    return Sum(parts, gconvex=(sample.g.norm <= mu / 2 + 1e-12))
 
 
 def construct_sufficient(data: InterpData) -> FnOracle | NotApplicable:
@@ -213,12 +213,12 @@ def minimal_function(F: float, y: HPoint, g: HTangent, x: HPoint
     a_par = g_par.norm
     a_perp = g_perp.norm
     parts: list[tuple[float, FnOracle]] = [
-        (1.0, fn_constant(F - a_par * (D if xprime is x else dist(xprime, y))))]
+        (1.0, Constant(F - a_par * (D if xprime is x else dist(xprime, y))))]
     if a_par > 0:
         parts.append((a_par, fn_dist_point(xprime)))
     if a_perp > 0:
-        parts.append((a_perp, fn_dist_sub(line, 0.0)))
-    f = fn_sum(parts, gconvex=True)
+        parts.append((a_perp, DistToSub(line, 0.0)))
+    f = Sum(parts, gconvex=True)
     value = f.value(x)
     target = F + align
     if not (abs(value - target) <= MINIMAL_TOL * max(1.0, abs(target))):
@@ -255,7 +255,7 @@ def interp_checks(rng: np.random.Generator, thetas, triples: int):
     x0 = base_point(3)
     z = exp(x0, random_unit_tangent(rng, x0).scaled(0.7))
     ps = [random_point_in_ball(rng, z, 0.45) for _ in range(6)]
-    items = [OracleSample(F, p, g) for p, (F, g) in zip(ps, map(fn_sqdist_point(z).eval, ps))]
+    items = [OracleSample(F, p, g) for p, (F, g) in zip(ps, map(SqDistToPoint(z).eval, ps))]
     f = construct_sufficient(InterpData(items, mu=1.0))
     max_err, slack = np.inf, -np.inf
     if not isinstance(f, NotApplicable):

@@ -42,13 +42,7 @@ __all__ = [
     "FnOracle",
     "OracleSample",
     "MoreauParams",
-    "fn_constant",
     "fn_dist_point",
-    "fn_sqdist_point",
-    "fn_dist_sub",
-    "fn_shifted_max",
-    "fn_moreau",
-    "fn_pseudo_affine",
     "taper",
     "subgradient_gap",
     "midpoint_convexity_gap",
@@ -146,7 +140,9 @@ class FnOracle:
         return None
 
 
-class _Constant(FnOracle):
+class Constant(FnOracle):
+    """The constant function (0 is a subgradient everywhere)."""
+
     def __init__(self, c: float):
         self.c = float(c)
         self.lipschitz = 0.0
@@ -158,11 +154,6 @@ class _Constant(FnOracle):
 
     def value(self, x):
         return self.c
-
-
-def fn_constant(c: float) -> FnOracle:
-    """The constant function (0 is a subgradient everywhere)."""
-    return _Constant(c)
 
 
 class DistToSub(FnOracle):
@@ -205,11 +196,6 @@ class DistToSub(FnOracle):
         return [(self.S, self.shift)]
 
 
-def fn_dist_sub(S: TotallyGeodesicSub, shift: float = 0.0) -> DistToSub:
-    """Distance to a totally geodesic submanifold, minus a constant."""
-    return DistToSub(S, shift)
-
-
 def fn_dist_point(z: HPoint) -> DistToSub:
     """Distance to a point (a 0-dimensional totally geodesic submanifold)."""
     return DistToSub(gspan([z], []), 0.0)
@@ -230,10 +216,6 @@ class SqDistToPoint(FnOracle):
     def value(self, x):
         d = dist(x, self.z)
         return 0.5 * d * d
-
-
-def fn_sqdist_point(z: HPoint) -> SqDistToPoint:
-    return SqDistToPoint(z)
 
 
 @dataclass(frozen=True)
@@ -297,12 +279,7 @@ class ShiftedMax(FnOracle):
         return pieces
 
 
-def fn_shifted_max(parts: list[tuple[FnOracle, float]]) -> ShiftedMax:
-    """Pointwise maximum of parts, each lowered by its offset."""
-    return ShiftedMax(parts)
-
-
-class _Sum(FnOracle):
+class Sum(FnOracle):
     """Weighted sum of oracles sharing a base point convention."""
 
     def __init__(self, parts: list[tuple[float, FnOracle]], gconvex: bool = True):
@@ -325,10 +302,6 @@ class _Sum(FnOracle):
         for w, o in self.parts:
             total += w * o.value(x)
         return total
-
-
-def fn_sum(parts: list[tuple[float, FnOracle]], gconvex: bool = True) -> FnOracle:
-    return _Sum(parts, gconvex=gconvex)
 
 
 class PseudoAffine(FnOracle):
@@ -367,10 +340,6 @@ class PseudoAffine(FnOracle):
     def value(self, x):
         D = dist(self.y, x)
         return 0.0 if D == 0.0 else float(_mink(self.g.vec, _log_at(self.y, x, D).vec))
-
-
-def fn_pseudo_affine(y: HPoint, g: HTangent) -> PseudoAffine:
-    return PseudoAffine(y, g)
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +430,6 @@ class MoreauEnvelope(FnOracle):
         if self._pieces is None:
             return self.f.prox_pair(x, self.lam)
         return _prox_max_pieces(x, self.lam, self._pieces)
-
-
-def fn_moreau(f: FnOracle, p: MoreauParams) -> MoreauEnvelope:
-    """Moreau smoothing of one distance or a max of shifted hyperplane distances."""
-    return MoreauEnvelope(f, p)
 
 
 def _tangent_frame(x: HPoint) -> np.ndarray:
@@ -814,9 +778,9 @@ def zoo_checks(rng: np.random.Generator, d: int, n: int):
     x0 = base_point(d)
     z = random_point_in_ball(rng, x0, 1.2)
     S = HalfSpace(z, random_unit_tangent(rng, z)).boundary
-    zoo = {"dist-point": fn_dist_point(z), "sqdist-point": fn_sqdist_point(z),
-           "dist-sub": fn_dist_sub(S, 0.3),
-           "max": fn_shifted_max([(fn_dist_point(z), 0.1), (fn_dist_sub(S, 0.0), 0.2)])}
+    zoo = {"dist-point": fn_dist_point(z), "sqdist-point": SqDistToPoint(z),
+           "dist-sub": DistToSub(S, 0.3),
+           "max": ShiftedMax([(fn_dist_point(z), 0.1), (DistToSub(S, 0.0), 0.2)])}
     for name, o in zoo.items():
         worst, lip_ok = np.inf, True
         for _ in range(n):
@@ -831,7 +795,7 @@ def zoo_checks(rng: np.random.Generator, d: int, n: int):
         yield f"gconvex-{name}", worst, GCONVEX_SLACK, gconvex_holds(worst) and lip_ok
 
     lam = 0.25
-    env = fn_moreau(fn_dist_point(z), MoreauParams(lam))
+    env = MoreauEnvelope(fn_dist_point(z), MoreauParams(lam))
     worst = 0.0
     for _ in range(n):
         p = random_point_in_ball(rng, x0, 2.0)

@@ -53,11 +53,10 @@ from .oracles import (
     SANDWICH_ALLOWANCE,
     DistToSub,
     FnOracle,
+    MoreauEnvelope,
     MoreauParams,
     OracleSample,
     ShiftedMax,
-    fn_dist_sub,
-    fn_moreau,
     sandwich_violation,
     worst_chord_slope,
 )
@@ -78,7 +77,7 @@ __all__ = [
     "play",
     "game_checks",
     "worst_build",
-    "worst_oracle",
+    "WorstFunctionOracle",
     "worst_trajectory_report",
     "ladder_checks",
     "a2_check",
@@ -205,7 +204,7 @@ class _GameBase:
         self._i[len(self.chosen)], self._s[len(self.chosen)] = i, s
         self.chosen.append((i, s))
         self.remaining.remove(i)
-        self._parts.append(fn_dist_sub(self.hyperplane(i, s), self.a))
+        self._parts.append(DistToSub(self.hyperplane(i, s), self.a))
 
     def running_max(self, k: int) -> ShiftedMax:
         """The committed function after k+1 selections (pieces 0..k)."""
@@ -327,7 +326,7 @@ class SmoothGame(_GameBase):
         self._params = MoreauParams(self.lam)
 
     def _smooth(self, f: ShiftedMax):
-        return fn_moreau(f, self._params)
+        return MoreauEnvelope(f, self._params)
 
     def worst_sandwich(self, rng: np.random.Generator, n: int) -> float:
         """Largest violation of f_k - lam <= env_k <= f_k (running max f_k, its
@@ -664,10 +663,6 @@ class WorstFunctionOracle(FnOracle):
         return F, _rebase(x, vec)
 
 
-def worst_oracle(inst: WorstInstance) -> WorstFunctionOracle:
-    return WorstFunctionOracle(inst)
-
-
 @dataclass(frozen=True)
 class WorstReplayReport:
     """Measured deviations of the Polyak run from the predicted ladder."""
@@ -717,7 +712,7 @@ def worst_trajectory_report(eps: float, r: float) -> WorstReplayReport:
     twin is ``highprec.worst_trajectory_report``, see README, "The
     worst-function ladder: r ≤ 14 in float64, highprec beyond 10")."""
     inst = worst_build(eps, r)
-    trace = polyak_sgd(worst_oracle(inst), fstar=0.0, x0=inst.ladder[0],
+    trace = polyak_sgd(WorstFunctionOracle(inst), fstar=0.0, x0=inst.ladder[0],
                        s0=inst.r, T=inst.T)
     return _replay_report(inst.d, inst.M, inst.radii, inst.deltas, trace.gaps,
                           trace.radii, trace.step_lengths,

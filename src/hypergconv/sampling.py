@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 
-from .hyperboloid import HPoint, HTangent, RangeLimitError, exp, _mink, _point_unchecked
+from .hyperboloid import HPoint, HTangent, RangeLimitError, exp, _mink, _point_far_checked
 
 __all__ = [
     "make_rng",
@@ -83,5 +83,5 @@ def random_point_in_ball(rng: np.random.Generator, center: HPoint, radius: float
         # canonical center: build the coordinates directly
         u = rng.standard_normal(center.d)
         u /= np.linalg.norm(u)
-        return _point_unchecked(np.concatenate([[np.cosh(t)], np.sinh(t) * u]))
+        return _point_far_checked(np.concatenate([[np.cosh(t)], np.sinh(t) * u]))
     return exp(center, random_unit_tangent(rng, center).scaled(t))

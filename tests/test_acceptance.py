@@ -33,7 +33,7 @@ from hypergconv.interpolation import (
 from hypergconv.oracles import (
     CHORD_ALLOWANCE,
     OracleSample,
-    fn_sqdist_point,
+    SqDistToPoint,
     scalar_bounds_hold,
     taper,
     worst_chord_slope,
@@ -175,7 +175,7 @@ def test_criterion_7_interpolation():
         assert obstructs(data, lower, upper)
     rng = make_rng(70)
     z = rand_point(rng, 3, 1.0)
-    src = fn_sqdist_point(z)
+    src = SqDistToPoint(z)
     items = []
     for _ in range(6):
         p = random_point_in_ball(rng, z, 0.45)
@@ -223,7 +223,7 @@ def test_criterion_8_scalar_suite():
     r = 1.5
     xref = base_point(3)
     z = exp(xref, frame_at_base(3)[0].scaled(r))
-    f = fn_sqdist_point(z)
+    f = SqDistToPoint(z)
     f.smoothness = float(zeta(r))
     assert gap_bound_check(f, xref, r).ok
     game = smooth_new(4, 1.0)

@@ -38,18 +38,15 @@ from hypergconv.interpolation import (
 from hypergconv.oracles import (
     GCONVEX_SLACK,
     SANDWICH_ALLOWANCE,
+    Constant,
     DistToSub,
+    MoreauEnvelope,
     MoreauParams,
     OracleSample,
     ShiftedMax,
     SqDistToPoint,
-    fn_constant,
+    Sum,
     fn_dist_point,
-    fn_dist_sub,
-    fn_moreau,
-    fn_shifted_max,
-    fn_sqdist_point,
-    fn_sum,
     gconvex_holds,
     lipschitz_holds,
     sandwich_violation,
@@ -76,9 +73,9 @@ def _zoo_checks(rng, d, n):
     x0 = base_point(d)
     z = random_point_in_ball(rng, x0, 1.2)
     S = HalfSpace(z, random_unit_tangent(rng, z)).boundary
-    zoo = {"dist-point": fn_dist_point(z), "sqdist-point": fn_sqdist_point(z),
-           "dist-sub": fn_dist_sub(S, 0.3),
-           "max": fn_shifted_max([(fn_dist_point(z), 0.1), (fn_dist_sub(S, 0.0), 0.2)])}
+    zoo = {"dist-point": fn_dist_point(z), "sqdist-point": SqDistToPoint(z),
+           "dist-sub": DistToSub(S, 0.3),
+           "max": ShiftedMax([(fn_dist_point(z), 0.1), (DistToSub(S, 0.0), 0.2)])}
     for name, o in zoo.items():
         worst, lip_ok = np.inf, True
         for _ in range(n):
@@ -91,7 +88,7 @@ def _zoo_checks(rng, d, n):
         yield f"gconvex-{name}", worst, GCONVEX_SLACK, gconvex_holds(worst) and lip_ok
 
     lam = 0.25
-    env = fn_moreau(fn_dist_point(z), MoreauParams(lam))
+    env = MoreauEnvelope(fn_dist_point(z), MoreauParams(lam))
     worst = 0.0
     for _ in range(n):
         p = random_point_in_ball(rng, x0, 2.0)
@@ -121,12 +118,12 @@ def _minimal_function(F, y, g, x):
     xprime = x if align <= 0 else exp(y, ly.scaled(-1.0))
     a_par = g_par.norm
     a_perp = g_perp.norm
-    parts = [(1.0, fn_constant(F - a_par * dist(xprime, y)))]
+    parts = [(1.0, Constant(F - a_par * dist(xprime, y)))]
     if a_par > 0:
         parts.append((a_par, fn_dist_point(xprime)))
     if a_perp > 0:
-        parts.append((a_perp, fn_dist_sub(line, 0.0)))
-    f = fn_sum(parts, gconvex=True)
+        parts.append((a_perp, DistToSub(line, 0.0)))
+    f = Sum(parts, gconvex=True)
     value = f.value(x)
     target = F + align
     if not (abs(value - target) <= MINIMAL_TOL * max(1.0, abs(target))):
@@ -145,7 +142,7 @@ def _interp_checks(rng, thetas, triples):
     x0 = base_point(3)
     z = exp(x0, random_unit_tangent(rng, x0).scaled(0.7))
     ps = [random_point_in_ball(rng, z, 0.45) for _ in range(6)]
-    items = [OracleSample(F, p, g) for p, (F, g) in zip(ps, map(fn_sqdist_point(z).eval, ps))]
+    items = [OracleSample(F, p, g) for p, (F, g) in zip(ps, map(SqDistToPoint(z).eval, ps))]
     f = construct_sufficient(InterpData(items, mu=1.0))
     max_err, slack = np.inf, -np.inf
     if not isinstance(f, NotApplicable):

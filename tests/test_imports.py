@@ -1,5 +1,6 @@
-"""Which modules a kind loads, checked in fresh processes: pytest has already
-imported scipy into this one.  See README, "Import cost"."""
+"""Which modules a kind loads, and what ``import *`` finds, checked in fresh
+processes: pytest has already imported scipy into this one.  See README,
+"Import cost"."""
 
 import json
 import os
@@ -28,6 +29,21 @@ def test_package_loads_no_scipy_or_mpmath(tmp_path):
         print(json.dumps([m for m in sys.modules if m.split(".")[0] in ("scipy", "mpmath")]))
     """, tmp_path)
     assert loaded == []
+
+
+def test_every_all_entry_exists(tmp_path):
+    # a deleted name left behind in an __all__ breaks `from ... import *`
+    stale = fresh("""
+        import importlib, json, pkgutil, hypergconv
+        stale = {}
+        for m in ["hypergconv"] + [f"hypergconv.{i.name}"
+                                   for i in pkgutil.iter_modules(hypergconv.__path__)]:
+            mod = importlib.import_module(m)
+            stale[m] = [n for n in getattr(mod, "__all__", []) if not hasattr(mod, n)]
+            exec(f"from {m} import *", {})
+        print(json.dumps(stale))
+    """, tmp_path)
+    assert len(stale) == 11 and not any(stale.values())
 
 
 def test_scipy_free_kinds_leave_scipy_unloaded(tmp_path):

@@ -22,7 +22,7 @@ from hypergconv.oracles import (
     GCONVEX_SLACK,
     OracleSample,
     ShiftedMax,
-    fn_sqdist_point,
+    SqDistToPoint,
     gconvex_holds,
     midpoint_convexity_gap,
 )
@@ -36,7 +36,7 @@ LOWER_08 = 0.1517367408592769
 
 
 def sq_samples(rng, z, n=5, radius=0.45):
-    src = fn_sqdist_point(z)
+    src = SqDistToPoint(z)
     items = []
     for _ in range(n):
         p = random_point_in_ball(rng, z, radius)
@@ -221,7 +221,7 @@ class TestMinimalFunction:
     def test_missed_target_raises(self, rng, monkeypatch):
         y = rand_point(rng, 3, 1.0)
         x = exp(y, rand_unit(rng, y).scaled(1.2))
-        monkeypatch.setattr(oracles._Sum, "value",
+        monkeypatch.setattr(oracles.Sum, "value",
                             lambda self, q: self.eval(q)[0] + 2 * MINIMAL_TOL)
         with pytest.raises(GeometryViolation, match="off target"):
             minimal_function(0.5, y, rand_tangent(rng, y, 1.0), x)

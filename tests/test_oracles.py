@@ -27,21 +27,19 @@ from hypergconv.oracles import (
     LIPSCHITZ_ALLOWANCE,
     SCALAR_TOL,
     TIE_TOL,
+    Constant,
+    DistToSub,
+    FnOracle,
     MoreauEnvelope,
     MoreauParams,
-    FnOracle,
     OracleSample,
+    PseudoAffine,
     ShiftedMax,
+    SqDistToPoint,
+    Sum,
     _StackedPieces,
     _prox_max_pieces,
-    fn_constant,
     fn_dist_point,
-    fn_dist_sub,
-    fn_moreau,
-    fn_pseudo_affine,
-    fn_shifted_max,
-    fn_sqdist_point,
-    fn_sum,
     gconvex_holds,
     lipschitz_holds,
     midpoint_convexity_gap,
@@ -97,12 +95,12 @@ class TestDistPoint:
 class TestSqDistPoint:
     def test_minimizer(self, rng):
         z = rand_point(rng, 3)
-        F, g = fn_sqdist_point(z).eval(z)
+        F, g = SqDistToPoint(z).eval(z)
         assert F == 0.0 and g.norm == 0.0
 
     def test_finite_difference_gradient(self, rng):
         z = rand_point(rng, 4, 1.0)
-        o = fn_sqdist_point(z)
+        o = SqDistToPoint(z)
         for _ in range(100):
             x = rand_point(rng, 4, 2.0)
             u = rand_unit(rng, x)
@@ -111,7 +109,7 @@ class TestSqDistPoint:
 
     def test_hessian_quadratic_form_range(self, rng):
         z = rand_point(rng, 3, 1.0)
-        o = fn_sqdist_point(z)
+        o = SqDistToPoint(z)
         for _ in range(100):
             x = rand_point(rng, 3, 2.0)
             u = rand_unit(rng, x)
@@ -126,7 +124,7 @@ class TestDistSub:
 
     def test_on_sub_returns_shift_and_zero(self, rng):
         S = self.make_sub(rng)
-        o = fn_dist_sub(S, shift=0.7)
+        o = DistToSub(S, shift=0.7)
         x = S.base()
         F, g = o.eval(x)
         assert F == pytest.approx(-0.7, abs=1e-12)
@@ -134,7 +132,7 @@ class TestDistSub:
 
     def test_unit_gradient_off_sub(self, rng):
         S = self.make_sub(rng)
-        o = fn_dist_sub(S)
+        o = DistToSub(S)
         for _ in range(50):
             x = rand_point(rng, 3, 2.0)
             if o.value(x) < 1e-6:
@@ -143,7 +141,7 @@ class TestDistSub:
 
     def test_gconvex_along_geodesics(self, rng):
         S = self.make_sub(rng)
-        o = fn_dist_sub(S, shift=0.2)
+        o = DistToSub(S, shift=0.2)
         for _ in range(100):
             a, b = rand_point(rng, 3, 2.0), rand_point(rng, 3, 2.0)
             assert midpoint_convexity_gap(o, a, b) >= -1e-9
@@ -154,10 +152,10 @@ class TestMetadata:
         z = rand_point(rng, 3, 1.0)
         S = HalfSpace(z, rand_unit(rng, z)).boundary
         for c in (0.0, 0.3, -1.5):
-            assert fn_dist_sub(S, c).fmin == -c
-            assert oracles.fn_constant(c).fmin == c
+            assert DistToSub(S, c).fmin == -c
+            assert oracles.Constant(c).fmin == c
         assert fn_dist_point(z).fmin == 0.0
-        assert fn_sqdist_point(z).fmin == 0.0
+        assert SqDistToPoint(z).fmin == 0.0
 
     def test_no_metadata_written_after_construction(self):
         # each fact is stated once, in the oracle's own __init__ or class body;
@@ -189,14 +187,14 @@ class TestMetadata:
 class TestShiftedMax:
     def test_single_part_identical(self, rng):
         z = rand_point(rng, 3)
-        o, m = fn_dist_point(z), fn_shifted_max([(fn_dist_point(z), 0.25)])
+        o, m = fn_dist_point(z), ShiftedMax([(fn_dist_point(z), 0.25)])
         for _ in range(20):
             x = rand_point(rng, 3, 2.0)
             assert m.value(x) == pytest.approx(o.value(x) - 0.25, abs=1e-14)
 
     def test_dominant_part_wins(self, rng):
         z = rand_point(rng, 3, 0.5)
-        m = fn_shifted_max([(fn_dist_point(z), 0.0), (fn_dist_point(z), 5.0)])
+        m = ShiftedMax([(fn_dist_point(z), 0.0), (fn_dist_point(z), 5.0)])
         for _ in range(20):
             x = rand_point(rng, 3, 2.0)
             info = m.eval_detailed(x)
@@ -205,7 +203,7 @@ class TestShiftedMax:
 
     def test_tie_reported(self, rng, caplog):
         z = rand_point(rng, 3, 0.5)
-        m = fn_shifted_max([(fn_dist_point(z), 0.0), (fn_dist_point(z), 0.0)])
+        m = ShiftedMax([(fn_dist_point(z), 0.0), (fn_dist_point(z), 0.0)])
         with caplog.at_level(logging.WARNING, logger="hypergconv.oracles"):
             info = m.eval_detailed(rand_point(rng, 3, 1.0))
         assert info.ties == (1,)
@@ -213,7 +211,7 @@ class TestShiftedMax:
 
     def test_subgradient_inequality(self, rng):
         parts = [(fn_dist_point(rand_point(rng, 3, 1.5)), 0.3 * k) for k in range(3)]
-        m = fn_shifted_max(parts)
+        m = ShiftedMax(parts)
         for _ in range(1000):
             a, b = rand_point(rng, 3, 2.0), rand_point(rng, 3, 2.0)
             assert gconvex_holds(subgradient_gap(m, a, b))
@@ -244,14 +242,14 @@ def _max_cases(rng):
     for k in range(6):
         anchor = exp(x0, rand_unit(rng, x0).scaled(0.5 * rng.uniform()))
         o = (fn_dist_point(anchor) if k % 2 else
-             fn_dist_sub(HalfSpace(anchor, rand_unit(rng, anchor)).boundary, 0.1))
+             DistToSub(HalfSpace(anchor, rand_unit(rng, anchor)).boundary, 0.1))
         parts.append((o, 0.03 * k))
-    mixed = fn_shifted_max(parts)
+    mixed = ShiftedMax(parts)
     queries = [rand_point(rng, 4, 1.5) for _ in range(20)] + [x0]
     yield mixed, queries
-    yield fn_shifted_max([(fn_shifted_max(parts[:3]), 0.0), (mixed, 0.0),
+    yield ShiftedMax([(ShiftedMax(parts[:3]), 0.0), (mixed, 0.0),
                           (parts[4][0], -0.2)]), queries
-    src = fn_sqdist_point(rand_point(rng, 3, 1.0))
+    src = SqDistToPoint(rand_point(rng, 3, 1.0))
     items = []
     for _ in range(5):
         p = random_point_in_ball(rng, src.z, 0.45)
@@ -315,16 +313,16 @@ def _value_oracles():
     S = HalfSpace(z, random_unit_tangent(rng, z)).boundary
     c = exp(x0, random_unit_tangent(rng, x0).scaled(0.7))
     ps = [random_point_in_ball(rng, c, 0.45) for _ in range(6)]
-    items = [OracleSample(F, p, gp) for p, (F, gp) in zip(ps, map(fn_sqdist_point(c).eval, ps))]
+    items = [OracleSample(F, p, gp) for p, (F, gp) in zip(ps, map(SqDistToPoint(c).eval, ps))]
     return {
-        "constant": fn_constant(0.7),
-        "dist-sub": fn_dist_sub(S, 0.3),
+        "constant": Constant(0.7),
+        "dist-sub": DistToSub(S, 0.3),
         "dist-point": fn_dist_point(z),
-        "sqdist-point": fn_sqdist_point(z),
-        "pseudo-affine": fn_pseudo_affine(z, g),
-        "sum": fn_sum([(1.0, fn_constant(-0.2)), (0.5, fn_sqdist_point(z)),
-                       (2.0, fn_pseudo_affine(z, g))], gconvex=False),
-        "max": fn_shifted_max([(fn_dist_point(z), 0.1), (fn_dist_sub(S, 0.0), 0.2)]),
+        "sqdist-point": SqDistToPoint(z),
+        "pseudo-affine": PseudoAffine(z, g),
+        "sum": Sum([(1.0, Constant(-0.2)), (0.5, SqDistToPoint(z)),
+                       (2.0, PseudoAffine(z, g))], gconvex=False),
+        "max": ShiftedMax([(fn_dist_point(z), 0.1), (DistToSub(S, 0.0), 0.2)]),
         "interpolant": construct_sufficient(InterpData(items, mu=1.0)),
     }, z
 
@@ -363,14 +361,14 @@ class TestPseudoAffine:
     def test_value_and_gradient_at_anchor(self, rng):
         y = rand_point(rng, 3, 1.0)
         g = rand_tangent(rng, y, 2.0)
-        F, gr = fn_pseudo_affine(y, g).eval(y)
+        F, gr = PseudoAffine(y, g).eval(y)
         assert F == 0.0
         assert np.allclose(gr.vec, g.vec, atol=1e-12)
 
     def test_matches_inner_product(self, rng):
         y = rand_point(rng, 3, 1.0)
         g = rand_tangent(rng, y, 2.0)
-        o = fn_pseudo_affine(y, g)
+        o = PseudoAffine(y, g)
         for _ in range(50):
             x = rand_point(rng, 3, 2.0)
             assert o.value(x) == pytest.approx(
@@ -379,7 +377,7 @@ class TestPseudoAffine:
     def test_finite_difference_gradient(self, rng):
         y = rand_point(rng, 4, 1.0)
         g = rand_tangent(rng, y, 1.5)
-        o = fn_pseudo_affine(y, g)
+        o = PseudoAffine(y, g)
         for _ in range(100):
             x = rand_point(rng, 4, 2.0)
             u = rand_unit(rng, x)
@@ -389,7 +387,7 @@ class TestPseudoAffine:
     def test_smoothness_bound_on_second_differences(self, rng):
         y = rand_point(rng, 3, 1.0)
         g = rand_tangent(rng, y, 1.5)
-        o = fn_pseudo_affine(y, g)
+        o = PseudoAffine(y, g)
         gn = g.norm
         for _ in range(1000):
             x = rand_point(rng, 3, 2.0)
@@ -398,12 +396,12 @@ class TestPseudoAffine:
 
     def test_flagged_nonconvex(self, rng):
         y = rand_point(rng, 2, 0.5)
-        assert not fn_pseudo_affine(y, rand_unit(rng, y)).gconvex
+        assert not PseudoAffine(y, rand_unit(rng, y)).gconvex
 
     def test_lipschitz_metadata_respected(self, rng):
         y = rand_point(rng, 3, 1.0)
         g = rand_tangent(rng, y, 2.0)
-        o = fn_pseudo_affine(y, g)
+        o = PseudoAffine(y, g)
         for _ in range(200):
             x = rand_point(rng, 3, 2.5)
             assert lipschitz_holds(o.grad(x).norm, o.lipschitz)
@@ -418,14 +416,14 @@ class TestMoreau:
 
     def test_requires_lipschitz_metadata(self, rng):
         z = rand_point(rng, 3)
-        o = fn_sqdist_point(z)  # not globally Lipschitz
+        o = SqDistToPoint(z)  # not globally Lipschitz
         with pytest.raises(DomainError):
-            fn_moreau(o, MoreauParams(0.1))
+            MoreauEnvelope(o, MoreauParams(0.1))
 
     def test_dist_point_closed_form_and_grid_search(self, rng):
         z = rand_point(rng, 3, 1.0)
         lam = 0.3
-        env = fn_moreau(fn_dist_point(z), MoreauParams(lam))
+        env = MoreauEnvelope(fn_dist_point(z), MoreauParams(lam))
         for _ in range(10):
             x = rand_point(rng, 3, 2.5)
             D = dist(x, z)
@@ -442,7 +440,7 @@ class TestMoreau:
         z = rand_point(rng, 4, 1.0)
         lam = 0.2
         f = fn_dist_point(z)
-        env = fn_moreau(f, MoreauParams(lam))
+        env = MoreauEnvelope(f, MoreauParams(lam))
         for _ in range(1000):
             x = rand_point(rng, 4, 2.0)
             fv, ev = f.value(x), env.value(x)
@@ -452,7 +450,7 @@ class TestMoreau:
     def test_gradient_matches_prox_point(self, rng):
         z = rand_point(rng, 3, 1.0)
         lam = 0.4
-        env = fn_moreau(fn_dist_point(z), MoreauParams(lam))
+        env = MoreauEnvelope(fn_dist_point(z), MoreauParams(lam))
         for _ in range(20):
             x = rand_point(rng, 3, 2.0)
             y = env.prox_point(x)
@@ -467,21 +465,21 @@ class TestMoreau:
         def part():
             anchor = exp(x0, rand_unit(rng, x0).scaled(0.4 * rng.uniform()))
             S = HalfSpace(anchor, rand_unit(rng, anchor)).boundary
-            return fn_dist_sub(S, 0.1 * rng.uniform())
+            return DistToSub(S, 0.1 * rng.uniform())
 
         parts = []
         for k in range(n):
             if kind == "nested" and k % 2 == 0:
-                parts.append((fn_shifted_max([(part(), 0.0), (part(), 0.03)]), 0.02 * k))
+                parts.append((ShiftedMax([(part(), 0.0), (part(), 0.03)]), 0.02 * k))
             else:
                 parts.append((part(), 0.02 * k))
-        return x0, fn_shifted_max(parts)
+        return x0, ShiftedMax(parts)
 
     @pytest.mark.parametrize("kind", ["hyperplanes", "nested"])
     def test_max_pieces_prox_beats_brute_force(self, rng, kind):
         x0, m = self._pieces_instance(rng, kind)
         lam = 2e-3
-        env = fn_moreau(m, MoreauParams(lam))
+        env = MoreauEnvelope(m, MoreauParams(lam))
         for _ in range(5):
             x = exp(x0, rand_unit(rng, x0).scaled(0.2 * rng.uniform()))
             v = env.value(x)
@@ -515,7 +513,7 @@ class TestMoreau:
     def test_chord_gradient_lipschitz(self, rng, kind):
         x0, m = self._pieces_instance(rng, kind)
         lam = 2e-3
-        env = fn_moreau(m, MoreauParams(lam))
+        env = MoreauEnvelope(m, MoreauParams(lam))
         L = 1.0 / np.tanh(lam)
         for _ in range(60):
             x = exp(x0, rand_unit(rng, x0).scaled(0.25 * rng.uniform()))
@@ -533,19 +531,19 @@ class TestMoreau:
         # lam + delta/4 neighborhood
         x0 = base_point(4)
         e = frame_at_base(4)
-        near = fn_dist_sub(HalfSpace(x0, e[0]).boundary, 0.0)
+        near = DistToSub(HalfSpace(x0, e[0]).boundary, 0.0)
         far_anchor = exp(x0, e[1].scaled(3.0))
-        far = fn_dist_sub(HalfSpace(far_anchor, rand_unit(rng, far_anchor)).boundary, 3.0)
+        far = DistToSub(HalfSpace(far_anchor, rand_unit(rng, far_anchor)).boundary, 3.0)
         lam = 0.01
-        with_far = fn_moreau(fn_shifted_max([(near, 0.0), (far, 0.3)]), MoreauParams(lam))
-        without = fn_moreau(fn_shifted_max([(near, 0.0)]), MoreauParams(lam))
+        with_far = MoreauEnvelope(ShiftedMax([(near, 0.0), (far, 0.3)]), MoreauParams(lam))
+        without = MoreauEnvelope(ShiftedMax([(near, 0.0)]), MoreauParams(lam))
         for _ in range(25):
             p = exp(x0, rand_tangent(rng, x0, 0.05))
             assert with_far.value(p) == pytest.approx(without.value(p), abs=1e-10)
 
     def test_envelope_preserves_minimum(self, rng):
         z = rand_point(rng, 3, 1.0)
-        env = fn_moreau(fn_dist_point(z), MoreauParams(0.2))
+        env = MoreauEnvelope(fn_dist_point(z), MoreauParams(0.2))
         assert env.value(z) == pytest.approx(0.0, abs=1e-12)
         assert env.fmin == 0.0
 
@@ -560,20 +558,20 @@ class TestMoreau:
                 return inner.eval(x)
 
         with pytest.raises(DomainError):
-            fn_moreau(Opaque(), MoreauParams(0.3))
+            MoreauEnvelope(Opaque(), MoreauParams(0.3))
 
     def test_max_of_maxes_matches_flat_max(self, rng):
         # a max of maxes of shifted distances is itself one: its envelope
         # equals that of the flat max over the same pieces
         H1, H2, H3 = (HalfSpace(a, rand_unit(rng, a)).boundary
                       for a in (rand_point(rng, 3, 0.8) for _ in range(3)))
-        inner = fn_shifted_max([(fn_dist_sub(H1), 0.1), (fn_dist_sub(H2), 0.2)])
-        nested = fn_shifted_max([(inner, 0.3), (fn_dist_sub(H3), 0.05)])
-        flat = fn_shifted_max([(fn_dist_sub(H1), 0.1 + 0.3),
-                               (fn_dist_sub(H2), 0.2 + 0.3),
-                               (fn_dist_sub(H3), 0.05)])
-        env_nested = fn_moreau(nested, MoreauParams(0.3))
-        env_flat = fn_moreau(flat, MoreauParams(0.3))
+        inner = ShiftedMax([(DistToSub(H1), 0.1), (DistToSub(H2), 0.2)])
+        nested = ShiftedMax([(inner, 0.3), (DistToSub(H3), 0.05)])
+        flat = ShiftedMax([(DistToSub(H1), 0.1 + 0.3),
+                               (DistToSub(H2), 0.2 + 0.3),
+                               (DistToSub(H3), 0.05)])
+        env_nested = MoreauEnvelope(nested, MoreauParams(0.3))
+        env_flat = MoreauEnvelope(flat, MoreauParams(0.3))
         for _ in range(10):
             x = rand_point(rng, 3, 1.5)
             (Fn, gn), (Ff, gf) = env_nested.eval(x), env_flat.eval(x)
@@ -625,7 +623,7 @@ class TestMoreauBracket:
         x0 = base_point(3)
         e = frame_at_base(3)
         S1, S2 = (HalfSpace(x0, v).boundary for v in e[:2])
-        env = fn_moreau(fn_shifted_max([(fn_dist_sub(S1), 0.0), (fn_dist_sub(S2), 0.0)]),
+        env = MoreauEnvelope(ShiftedMax([(DistToSub(S1), 0.0), (DistToSub(S2), 0.0)]),
                         MoreauParams(0.05))
         calls = _count_minimize(monkeypatch)
         x = exp(x0, hg.HTangent(x0, e[0].vec + e[1].vec).scaled(0.02))
@@ -664,14 +662,14 @@ class TestMoreauBracket:
         # a point inside a max, flat or nested, has d normals and no closed-form
         # bracket: the envelope refuses it when built; alone it has an exact prox
         a = rand_point(rng, 3, 0.5)
-        plane = fn_dist_sub(HalfSpace(a, rand_unit(rng, a)).boundary)
+        plane = DistToSub(HalfSpace(a, rand_unit(rng, a)).boundary)
         point = fn_dist_point(rand_point(rng, 3, 0.5))
-        for m in (fn_shifted_max([(plane, 0.0), (point, 0.1)]),
-                  fn_shifted_max([(plane, 0.0), (fn_shifted_max([(point, 0.1)]), 0.0)]),
-                  fn_shifted_max([(point, 0.0)])):
+        for m in (ShiftedMax([(plane, 0.0), (point, 0.1)]),
+                  ShiftedMax([(plane, 0.0), (ShiftedMax([(point, 0.1)]), 0.0)]),
+                  ShiftedMax([(point, 0.0)])):
             with pytest.raises(DomainError):
-                fn_moreau(m, MoreauParams(0.2))
-        env = fn_moreau(point, MoreauParams(0.2))
+                MoreauEnvelope(m, MoreauParams(0.2))
+        env = MoreauEnvelope(point, MoreauParams(0.2))
         x = rand_point(rng, 3, 1.0)
         lo, hi = env.bracket(x)
         assert lo == hi == env.value(x)

@@ -11,7 +11,7 @@ from hypergconv import DomainError, HalfSpace, RangeLimitError, dist, exp, frame
 from hypergconv import resisting
 from hypergconv import oracles
 from hypergconv.hyperboloid import _mink_x_rows, _point_unchecked, _tangent_unchecked
-from hypergconv.oracles import (CHORD_ALLOWANCE, SANDWICH_ALLOWANCE, fn_shifted_max,
+from hypergconv.oracles import (CHORD_ALLOWANCE, SANDWICH_ALLOWANCE, ShiftedMax,
                                 sandwich_violation, worst_chord_slope)
 from hypergconv.resisting import (
     BudgetExhausted,
@@ -334,7 +334,7 @@ def sandwich_by_loop(game, rng, n):
     the parts' own values and the old bracket."""
     worst = 0.0
     for k in range(game.T):
-        fk = fn_shifted_max(game.running_max(k).parts)
+        fk = ShiftedMax(game.running_max(k).parts)
         env = game._smooth(game.running_max(k))
         xk = game.history[k].x
         for _ in range(n):

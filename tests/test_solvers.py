@@ -6,7 +6,7 @@ from mpmath import mp, mpf
 from hypergconv import base_point, dist, exp, zeta
 from hypergconv.highprec import DPS
 from hypergconv.instances import max_of_distances_instance
-from hypergconv.oracles import FnOracle, fn_dist_point, fn_sqdist_point
+from hypergconv.oracles import FnOracle, SqDistToPoint, fn_dist_point
 from hypergconv.sampling import make_rng
 from hypergconv.solvers import (
     COS_CLAMP_SLACK,
@@ -186,12 +186,12 @@ class TestRGD:
             z = rand_point(rng, 3, 2.0)
             x0 = rand_point(rng, 3, 2.0)
             s0 = dist(x0, z)
-            f = fn_sqdist_point(z)
+            f = SqDistToPoint(z)
             tr = rgd(f, step=1.0 / float(zeta(s0)), x0=x0, T=15)
             vals = [s.F for s in tr.samples]
             assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_zero_gradient_fixed_point(self, rng):
         z = rand_point(rng, 3, 1.0)
-        tr = rgd(fn_sqdist_point(z), step=0.5, x0=z, T=3)
+        tr = rgd(SqDistToPoint(z), step=0.5, x0=z, T=3)
         assert all(dist(s.x, z) < 1e-12 for s in tr.samples)

@@ -10,13 +10,13 @@ import hypergconv as hg
 from hypergconv import DomainError, RangeLimitError, base_point, dist, exp, zeta
 from hypergconv.hyperboloid import _mink_x, _mink_x_rows, ptransport
 from hypergconv import highprec, resisting
-from hypergconv.oracles import fn_constant, fn_sqdist_point, subgradient_gap
+from hypergconv.oracles import Constant, SqDistToPoint, subgradient_gap
 from hypergconv.resisting import (
+    WorstFunctionOracle,
     a2_check,
     play,
     smooth_new,
     worst_build,
-    worst_oracle,
 )
 from hypergconv.sampling import make_rng
 from hypergconv.solvers import CertificateError, Trace, polyak_sgd
@@ -121,13 +121,13 @@ class TestBuild:
 class TestOracle:
     def test_value_at_xstar(self):
         inst = worst_build(0.15, 6.0)
-        f = worst_oracle(inst)
+        f = WorstFunctionOracle(inst)
         F, _ = f.eval(inst.xstar)
         assert F == pytest.approx(0.0, abs=1e-9)
 
     def test_values_on_ladder(self):
         inst = worst_build(0.15, 6.0)
-        f = worst_oracle(inst)
+        f = WorstFunctionOracle(inst)
         for k, yk in enumerate(inst.ladder):
             F, g = f.eval(yk)
             assert F == pytest.approx(inst.radii[k], abs=1e-8)
@@ -138,7 +138,7 @@ class TestOracle:
     def test_gconvexity_sampled(self):
         rng = make_rng(3)
         inst = worst_build(0.17, 5.0)
-        f = worst_oracle(inst)
+        f = WorstFunctionOracle(inst)
         for _ in range(300):
             a = rand_point(rng, inst.d, 2.0)
             b = rand_point(rng, inst.d, 2.0)
@@ -411,14 +411,14 @@ class TestReplayGuards:
 class TestA2Check:
     def test_polyak_trajectory_passes(self):
         inst = worst_build(0.15, 6.0)
-        f = worst_oracle(inst)
+        f = WorstFunctionOracle(inst)
         tr = polyak_sgd(f, fstar=0.0, x0=inst.ladder[0], s0=inst.r, T=inst.T)
         rep = a2_check(inst, tr)
         assert rep.a1_all and rep.a2_all
 
     def test_jump_to_xstar_fails_span_condition(self):
         inst = worst_build(0.15, 6.0)
-        f = worst_oracle(inst)
+        f = WorstFunctionOracle(inst)
         tr = Trace()
         F0, g0 = f.eval(inst.ladder[0])
         tr.samples.append(OracleSample(F0, inst.ladder[0], g0))
@@ -434,7 +434,7 @@ class TestA2Check:
                 return float("nan")
 
         inst = worst_build(0.15, 6.0)
-        f = worst_oracle(inst)
+        f = WorstFunctionOracle(inst)
         tr = polyak_sgd(f, fstar=0.0, x0=inst.ladder[0], s0=inst.r, T=3)
         bad = dataclasses.replace(
             inst, halfspaces=[inst.halfspaces[0], NanHalfSpace(), *inst.halfspaces[2:]])
@@ -453,7 +453,7 @@ class TestGapBound:
         xref = base_point(3)
         r = 1.5
         z = exp(xref, hg.frame_at_base(3)[0].scaled(r))
-        f = fn_sqdist_point(z)
+        f = SqDistToPoint(z)
         f.smoothness = float(zeta(r))
         rep = gap_bound_check(f, xref, r)
         assert rep.ok
@@ -462,7 +462,7 @@ class TestGapBound:
 
     def test_constant_function(self):
         # the constant states its own minimum and smoothness
-        f = fn_constant(3.0)
+        f = Constant(3.0)
         rep = gap_bound_check(f, base_point(2), 1.0)
         assert rep.ok and rep.gap == 0.0
 

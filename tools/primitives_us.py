@@ -76,7 +76,7 @@ from hypergconv.hyperboloid import (  # noqa: E402
     HalfSpace, HPoint, _mink_x, _mink_x_rows, base_point, dist, exp, log, sub_dist)
 from hypergconv.interpolation import InterpData, construct_sufficient  # noqa: E402
 from hypergconv.oracles import (  # noqa: E402
-    BRACKET_TOL, OracleSample, fn_sqdist_point, zoo_checks)
+    BRACKET_TOL, OracleSample, SqDistToPoint, zoo_checks)
 from hypergconv.resisting import play, smooth_new  # noqa: E402
 from hypergconv.sampling import (  # noqa: E402
     make_rng, random_point_in_ball, random_unit_tangent)
@@ -146,7 +146,7 @@ def certify_calls() -> dict:
     z = exp(x0, random_unit_tangent(rng, x0).scaled(0.7))
     ps = [random_point_in_ball(rng, z, 0.45) for _ in range(6)]
     f = construct_sufficient(InterpData(
-        [OracleSample(F, p, g) for p, (F, g) in zip(ps, map(fn_sqdist_point(z).eval, ps))],
+        [OracleSample(F, p, g) for p, (F, g) in zip(ps, map(SqDistToPoint(z).eval, ps))],
         mu=1.0))
     pa = f.parts[0][0].parts[1][1]
     x = random_point_in_ball(rng, x0, 2.0)
