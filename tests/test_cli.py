@@ -113,8 +113,6 @@ def test_polyak_worst_refuses_highprec_key(tmp_path, capsys):
     ("cut-game", {"d": 3, "r": 3.0, "games": 1, "player": "bogus"}, "bogus"),
     ("lb-nonsmooth", {"T": 4, "r": 1.0, "players": ["newton"]}, "newton"),
     ("lb-nonsmooth", {"T": 1, "r": 1.0}, "T = d >= 2"),
-    # a random query past x_0 = cosh(17) that dist would refuse
-    ("lb-nonsmooth", {"T": 8, "r": 19.0, "players": ["random"], "seed": 1}, "dist's test"),
     ("lb-smooth", {"T": 4, "r": 1e6}, "radius must lie in"),
     ("polyak-worst", {"eps": 0.5, "r": 5.0}, "eps must lie in"),
     ("sweep", {"kind": "newton", "grid": {"T": [4]}}, "unknown kind"),
@@ -123,6 +121,8 @@ def test_polyak_worst_refuses_highprec_key(tmp_path, capsys):
      "'base' is not an object"),
     ("sweep", {"kind": "lb-nonsmooth", "base": {"r": 1.0, "players": "polyak"},
                "grid": {"T": [4]}}, "'players' must be a list"),
+    # a random query past x_0 = cosh(17) that dist would refuse
+    ("lb-nonsmooth", {"T": 8, "r": 19.0, "players": ["random"], "seed": 1}, "dist's test"),
 ])
 def test_config_refusals_exit_two(tmp_path, capsys, kind, cfg, message):
     assert cli.main([kind, "--config", write_cfg(tmp_path, cfg),
